@@ -1,10 +1,17 @@
 //! The foveated rendering pipeline (Fig. 7-E): Projection → Filtering →
 //! Sorting → Rasterization → Blending.
+//!
+//! Each quality level renders as one pixel-masked frame on the renderer's
+//! only frame driver ([`ms_render::FrameInFlight`], through
+//! [`Renderer::render_with_arena`] with a [`FrameRequest::masked`]
+//! request): the mask is the Filtering stage — tiles outside the level's
+//! region are never binned — and the level passes share one
+//! [`FrameArena`], so scratch buffers are recycled from level to level.
 
 use crate::model::FoveatedModel;
 use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
 use ms_math::{rad_to_deg, Vec2};
-use ms_render::{Image, RenderOptions, RenderStats, Renderer};
+use ms_render::{FrameArena, FrameRequest, Image, RenderOptions, RenderStats, Renderer};
 use ms_scene::{Camera, GaussianModel};
 
 /// Result of a foveated render.
@@ -131,21 +138,24 @@ impl FoveatedRenderer {
         let lod = self.renderer.options().lod_stride();
         let mut level_images: Vec<Image> = Vec::with_capacity(levels);
         let mut per_level_stats: Vec<RenderStats> = Vec::with_capacity(levels);
+        let mut mask = vec![false; n_pixels];
+        let mut arena = FrameArena::default();
         for (l, level_model) in level_models.iter().enumerate().take(levels) {
-            let mask: Vec<bool> = (0..n_pixels)
-                .map(|i| {
-                    let pl = pixel_level[i] as usize;
-                    pl == l || (l >= 1 && pl == l - 1 && pixel_blend[i] > 0.0)
-                })
-                .collect();
+            for (i, active) in mask.iter_mut().enumerate() {
+                let pl = pixel_level[i] as usize;
+                *active = pl == l || (l >= 1 && pl == l - 1 && pixel_blend[i] > 0.0);
+            }
             let coarse = match lod {
                 Some(stride) if l >= 1 => Some(ms_scene::coarse_subset(level_model, stride, 0)),
                 _ => None,
             };
             let render_model: &GaussianModel = coarse.as_ref().unwrap_or(level_model);
-            let out = self
-                .renderer
-                .render_masked(render_model, camera, |_| true, &mask);
+            let out;
+            (out, arena) = self.renderer.render_with_arena(
+                FrameRequest::masked(render_model, &mask),
+                camera,
+                arena,
+            );
             level_images.push(out.image);
             per_level_stats.push(out.stats);
         }

@@ -26,6 +26,14 @@ use crate::stats::TileGridDims;
 /// Sharding never changes the output, only the wall time.
 const MIN_SPLATS_PER_SHARD: usize = 512;
 
+/// Evaluate `tile_active` once per tile of `grid`, row-major.
+fn tile_activity(grid: TileGridDims, tile_active: impl Fn(u32, u32) -> bool) -> Vec<bool> {
+    (0..grid.tiles_y)
+        .flat_map(|ty| (0..grid.tiles_x).map(move |tx| (tx, ty)))
+        .map(|(tx, ty)| tile_active(tx, ty))
+        .collect()
+}
+
 /// Count tile-ellipse intersections for `splats[range]` into `counts`
 /// (indexed row-major, masked by `active`).
 fn count_range(
@@ -207,10 +215,7 @@ impl TileBins {
         mut indices: Vec<u32>,
     ) -> Self {
         let tile_count = grid.tile_count();
-        let active: Vec<bool> = (0..grid.tiles_y)
-            .flat_map(|ty| (0..grid.tiles_x).map(move |tx| (tx, ty)))
-            .map(|(tx, ty)| tile_active(tx, ty))
-            .collect();
+        let active = tile_activity(grid, tile_active);
 
         let threads = if threads == 0 {
             rayon::current_num_threads().max(1)
@@ -482,9 +487,9 @@ impl TileBins {
 pub(crate) struct ChunkedBinBuilder {
     grid: TileGridDims,
     threads: usize,
-    /// All-true tile mask (the chunked path has no Filtering stage), kept
-    /// as a vec so the counting/scatter helpers are shared with the
-    /// filtered in-core build.
+    /// Row-major per-tile activity (all-true for unmasked frames; a
+    /// masked frame's Filtering stage otherwise), shared with the filtered
+    /// in-core build's counting/scatter helpers.
     active: Vec<bool>,
     /// Per-tile intersection counts accumulated across chunks (pass 1),
     /// then reused as scratch for converting shard counts to cursors.
@@ -498,9 +503,15 @@ pub(crate) struct ChunkedBinBuilder {
 
 impl ChunkedBinBuilder {
     /// A builder for `grid` running on `threads` workers (`0` = all pool
-    /// workers), reusing recycled CSR storage like
+    /// workers), restricted to tiles where `tile_active(tx, ty)` holds and
+    /// reusing recycled CSR storage, like
     /// [`TileBins::build_filtered_with_threads_into`].
-    pub(crate) fn new(grid: TileGridDims, threads: usize, recycle: (Vec<u32>, Vec<u32>)) -> Self {
+    pub(crate) fn new(
+        grid: TileGridDims,
+        threads: usize,
+        tile_active: impl Fn(u32, u32) -> bool,
+        recycle: (Vec<u32>, Vec<u32>),
+    ) -> Self {
         let threads = if threads == 0 {
             rayon::current_num_threads().max(1)
         } else {
@@ -510,7 +521,7 @@ impl ChunkedBinBuilder {
         Self {
             grid,
             threads,
-            active: vec![true; tile_count],
+            active: tile_activity(grid, tile_active),
             counts: vec![0u32; tile_count],
             offsets: recycle.0,
             indices: recycle.1,
@@ -1278,7 +1289,8 @@ mod tests {
         let reference = TileBins::build(&splats, g);
         for chunk in [1usize, 173, 512, 4096, 10_000] {
             for threads in [1usize, 2, 3, 8, 0] {
-                let mut b = ChunkedBinBuilder::new(g, threads, (Vec::new(), Vec::new()));
+                let mut b =
+                    ChunkedBinBuilder::new(g, threads, |_, _| true, (Vec::new(), Vec::new()));
                 for c in splats.chunks(chunk) {
                     b.count_chunk(c);
                 }
@@ -1301,7 +1313,7 @@ mod tests {
     #[test]
     fn chunked_builder_handles_empty_stream() {
         let g = grid();
-        let mut b = ChunkedBinBuilder::new(g, 2, (Vec::new(), Vec::new()));
+        let mut b = ChunkedBinBuilder::new(g, 2, |_, _| true, (Vec::new(), Vec::new()));
         assert_eq!(b.seal(), 0);
         let bins = b.finish(&[]);
         assert_eq!(bins, TileBins::build(&[], g));

@@ -2,18 +2,27 @@
 //! at a time, and [`FrameArena`] recycles a frame's scratch buffers into
 //! the next one.
 //!
-//! [`Renderer::render`](crate::Renderer::render) executes a frame as one
-//! synchronous call. A frame *server* (the `ms_serve` crate) instead wants
-//! many frames **in flight at once** — Project/Bin of one session's next
-//! frame overlapping Raster/Composite of another's — which requires the
-//! pipeline to be suspendable between stages. [`Renderer::begin_frame`]
-//! returns a [`FrameInFlight`]: a self-contained state machine that owns
-//! the frame's camera and intermediate buffers and advances exactly one
-//! stage per [`run_stage`](FrameInFlight::run_stage) call. The stage
-//! sequence, stage inputs, and profiling are byte-for-byte the ones the
-//! monolithic path runs — `render` itself is implemented on top of this
-//! machine — so a frame's output is bit-identical no matter how its stages
-//! were interleaved with other frames'.
+//! `FrameInFlight` is the renderer's only frame driver: every entry point —
+//! [`Renderer::render`](crate::Renderer::render), the chunked
+//! [`render_source`](crate::Renderer::render_source), pixel-masked frames
+//! (the foveated renderer's per-level passes), pre-projected
+//! [`render_splats`](crate::Renderer::render_splats) and the `ms_serve`
+//! frame server — begins a frame and pumps
+//! [`run_stage`](FrameInFlight::run_stage) to completion, and `run_stage`
+//! is the one place that sequences Project → Bin → Merge → Raster →
+//! Composite. A frame server wants many frames **in flight at once** —
+//! Project/Bin of one session's next frame overlapping Raster/Composite of
+//! another's — so the machine is suspendable between stages: it owns the
+//! frame's camera and intermediate buffers and advances exactly one stage
+//! per call. Because the one-shot entry points run this same machine, a
+//! frame's output is bit-identical no matter how its stages were
+//! interleaved with other frames'.
+//!
+//! What a frame renders is a [`FrameRequest`]: the scene (in-core or
+//! chunked, a [`SceneRef`]) plus an optional pixel mask. The request is
+//! borrowed, not owned — the caller passes the same request to
+//! [`Renderer::begin_frame_source`] and to every `run_stage` call — so a
+//! frame stays `Send` and self-contained.
 //!
 //! [`FrameArena`] holds the large per-frame allocations (the
 //! projected-splat vector, the CSR offset/index buffers, and the raster
@@ -27,8 +36,8 @@
 use crate::binning::{ChunkedBinBuilder, MergedTileSchedule, TileBins};
 use crate::options::RenderOptions;
 use crate::pipeline::{
-    BinStage, CompositeStage, Composited, MergeStage, Profiler, ProjectStage, RasterStage,
-    StageKind,
+    mask_tile_active, BinStage, CompositeStage, Composited, MergeStage, Profiler, ProjectStage,
+    RasterStage, StageKind,
 };
 use crate::projection::{project_model_offset_into, ProjectedSplat};
 use crate::raster::{RasterScratch, RenderOutput, Renderer, UnitResult};
@@ -77,6 +86,50 @@ impl SceneRef<'_> {
     }
 }
 
+/// What a frame renders: a scene plus an optional pixel mask.
+///
+/// With a mask (row-major, one entry per pixel of the frame's camera) only
+/// the pixels where it is `true` are rendered. Tiles without an active
+/// pixel are skipped at Bin — splats are not even duplicated into them,
+/// the foveation Filtering stage of Fig. 7-E — and masked-out pixels keep
+/// the background color. Every active pixel is bit-identical to the same
+/// pixel of the unmasked frame, because a pixel only ever composites
+/// against its own tile's depth-sorted list.
+///
+/// `&GaussianModel` and [`SceneRef`] convert into an unmasked request, so
+/// plain call sites pass the scene itself. A request is a borrow, cheap to
+/// copy; [`Renderer::begin_frame_source`] and every
+/// [`FrameInFlight::run_stage`] call of one frame must receive the same one.
+#[derive(Clone, Copy)]
+pub struct FrameRequest<'a> {
+    /// The scene to render.
+    pub scene: SceneRef<'a>,
+    /// Active pixels (row-major, `width × height`); `None` renders all.
+    pub mask: Option<&'a [bool]>,
+}
+
+impl<'a> FrameRequest<'a> {
+    /// A request rendering only the pixels where `mask` is `true`.
+    pub fn masked(scene: impl Into<SceneRef<'a>>, mask: &'a [bool]) -> Self {
+        Self {
+            scene: scene.into(),
+            mask: Some(mask),
+        }
+    }
+}
+
+impl<'a> From<SceneRef<'a>> for FrameRequest<'a> {
+    fn from(scene: SceneRef<'a>) -> Self {
+        Self { scene, mask: None }
+    }
+}
+
+impl<'a> From<&'a GaussianModel> for FrameRequest<'a> {
+    fn from(model: &'a GaussianModel) -> Self {
+        SceneRef::InCore(model).into()
+    }
+}
+
 impl std::fmt::Debug for SceneRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -107,16 +160,18 @@ pub struct FrameArena {
     pub(crate) raster: Vec<RasterScratch>,
 }
 
-/// Admission predicate of the unfiltered pipeline, as a named `fn` so
-/// [`FrameInFlight`] has a concrete (non-closure) `ProjectStage` type.
+/// Admission predicate of the chunk projections: every point.
 fn admit_all(_point: usize) -> bool {
     true
 }
 
 /// Unwrap the chunked source a streaming frame step was begun with,
 /// mirroring the in-core arm's scene-kind and size checks.
-fn expect_chunked<'a>(scene: SceneRef<'a>, model_len: usize) -> &'a (dyn SceneSource + Sync) {
-    let SceneRef::Chunked(source) = scene else {
+fn expect_chunked<'a>(
+    scene: Option<SceneRef<'a>>,
+    model_len: usize,
+) -> &'a (dyn SceneSource + Sync) {
+    let Some(SceneRef::Chunked(source)) = scene else {
         panic!("frame begun on a chunked source driven with an in-core model")
     };
     debug_assert_eq!(
@@ -176,13 +231,21 @@ struct ChunkStream {
 }
 
 impl ChunkStream {
-    fn new(options: &RenderOptions, grid: TileGridDims, arena: FrameArena) -> Self {
+    /// A stream binning into `grid`, restricted to the tiles holding an
+    /// active pixel of `mask` exactly like the in-core Bin stage.
+    fn new(
+        options: &RenderOptions,
+        grid: TileGridDims,
+        mask: Option<&[bool]>,
+        arena: FrameArena,
+    ) -> Self {
         let mut splats = arena.splats;
         splats.clear();
         ChunkStream {
             builder: ChunkedBinBuilder::new(
                 grid,
                 options.resolved_threads(),
+                |tx, ty| mask.map_or(true, |m| mask_tile_active(m, grid, tx, ty)),
                 (arena.offsets, arena.indices),
             ),
             chunk: GaussianModel::new(0),
@@ -408,6 +471,9 @@ enum State {
 pub struct FrameInFlight {
     camera: Camera,
     model_len: usize,
+    /// Length of the pixel mask the frame was begun with (`None` when
+    /// unmasked); every [`run_stage`](Self::run_stage) request must match.
+    mask_len: Option<usize>,
     profiler: Profiler,
     state: State,
     /// Raster staging scratch pool, taken out of the incoming arena so the
@@ -440,24 +506,52 @@ impl FrameInFlight {
     /// Start a frame at the Project stage (in-core scenes) or at the
     /// chunk-counting pass (chunked sources). Callers go through
     /// [`Renderer::begin_frame`] / [`Renderer::begin_frame_source`], which
-    /// perform the camera checks first.
+    /// perform the camera and mask checks first.
     pub(crate) fn new(
         camera: Camera,
-        scene: SceneRef<'_>,
+        request: FrameRequest<'_>,
         options: &RenderOptions,
         mut arena: FrameArena,
     ) -> Self {
         let raster_scratch = std::mem::take(&mut arena.raster);
-        let state = match scene {
+        let state = match request.scene {
             SceneRef::InCore(_) => State::Project { arena },
             SceneRef::Chunked(_) => {
                 let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
-                State::ChunkCount(ChunkStream::new(options, grid, arena))
+                State::ChunkCount(ChunkStream::new(options, grid, request.mask, arena))
             }
         };
+        Self::with_state(
+            camera,
+            request.scene.total_points(),
+            request.mask,
+            state,
+            raster_scratch,
+        )
+    }
+
+    /// Start an unmasked frame at the Bin stage over already-projected
+    /// `splats` ([`Renderer::render_splats`]); the profile carries no
+    /// Project sample.
+    pub(crate) fn from_splats(camera: Camera, model_len: usize, splats: &[ProjectedSplat]) -> Self {
+        let state = State::Bin {
+            splats: splats.to_vec(),
+            recycle: (Vec::new(), Vec::new()),
+        };
+        Self::with_state(camera, model_len, None, state, Vec::new())
+    }
+
+    fn with_state(
+        camera: Camera,
+        model_len: usize,
+        mask: Option<&[bool]>,
+        state: State,
+        raster_scratch: Vec<RasterScratch>,
+    ) -> Self {
         Self {
             camera,
-            model_len: scene.total_points(),
+            model_len,
+            mask_len: mask.map(<[bool]>::len),
             profiler: Profiler::default(),
             state,
             raster_scratch,
@@ -505,11 +599,12 @@ impl FrameInFlight {
     /// no more pumping — finished ([`is_done`](Self::is_done), collect with
     /// [`finish`](Self::finish)) or failed ([`is_failed`](Self::is_failed),
     /// collect with [`into_failure`](Self::into_failure)).
-    /// `renderer` and `scene` must be the ones the frame was begun
+    /// `renderer` and `request` must be the ones the frame was begun
     /// with — the frame carries no back-references so it can be `Send` and
     /// self-contained, and the frame server guarantees the pairing by
-    /// owning both. `scene` accepts a plain `&GaussianModel` (in-core
-    /// frames) or a [`SceneRef`].
+    /// owning both. `request` accepts a plain `&GaussianModel` (in-core
+    /// frames), a [`SceneRef`], or a [`FrameRequest`] carrying a pixel
+    /// mask.
     ///
     /// In-core frames advance exactly one pipeline stage per call. Chunked
     /// frames advance one *chunk* per call while in the streaming Project
@@ -524,14 +619,36 @@ impl FrameInFlight {
     /// # Panics
     ///
     /// Panics when called on a finished or poisoned frame, when the scene
-    /// kind differs from the one the frame was begun with, or (debug only)
-    /// when the scene changed size since [`Renderer::begin_frame`].
-    pub fn run_stage<'a>(&mut self, renderer: &Renderer, scene: impl Into<SceneRef<'a>>) -> bool {
-        let scene = scene.into();
+    /// kind or mask size differs from the one the frame was begun with, or
+    /// (debug only) when the scene changed size since
+    /// [`Renderer::begin_frame`].
+    pub fn run_stage<'a>(
+        &mut self,
+        renderer: &Renderer,
+        request: impl Into<FrameRequest<'a>>,
+    ) -> bool {
+        let request = request.into();
+        assert_eq!(
+            request.mask.map(<[bool]>::len),
+            self.mask_len,
+            "frame driven with a different pixel mask than it was begun with"
+        );
+        self.step(renderer, Some(request.scene), request.mask)
+    }
+
+    /// [`run_stage`](Self::run_stage) after the request checks. `scene` is
+    /// `None` only for frames begun past Project
+    /// ([`from_splats`](Self::from_splats)), which never read it.
+    pub(crate) fn step(
+        &mut self,
+        renderer: &Renderer,
+        scene: Option<SceneRef<'_>>,
+        mask: Option<&[bool]>,
+    ) -> bool {
         let options = renderer.options();
         self.state = match std::mem::replace(&mut self.state, State::Poisoned) {
             State::Project { arena } => {
-                let SceneRef::InCore(model) = scene else {
+                let Some(SceneRef::InCore(model)) = scene else {
                     panic!("frame begun on an in-core model driven with a chunked source")
                 };
                 debug_assert_eq!(
@@ -543,7 +660,6 @@ impl FrameInFlight {
                     model,
                     camera: &self.camera,
                     options,
-                    admit: admit_all,
                     recycle: arena.splats,
                 };
                 let splats = self.profiler.run(&mut stage, ());
@@ -641,7 +757,7 @@ impl FrameInFlight {
                 let mut stage = BinStage {
                     splats: &splats,
                     grid,
-                    mask: None,
+                    mask,
                     threads: options.resolved_threads(),
                     recycle,
                 };
@@ -666,7 +782,7 @@ impl FrameInFlight {
                     splats: &splats,
                     options,
                     camera: &self.camera,
-                    mask: None,
+                    mask,
                     scratch: &mut self.raster_scratch,
                 };
                 let units = self.profiler.run(&mut stage, (&bins, &schedule));
@@ -867,6 +983,16 @@ mod tests {
         let mut frame = renderer.begin_frame(&model, &camera, FrameArena::default());
         while !frame.run_stage(&renderer, &model) {}
         frame.run_stage(&renderer, &model);
+    }
+
+    #[test]
+    #[should_panic(expected = "different pixel mask")]
+    fn run_stage_rejects_a_mask_the_frame_was_not_begun_with() {
+        let (model, camera) = scene();
+        let renderer = Renderer::default();
+        let mask = vec![true; (camera.width * camera.height) as usize];
+        let mut frame = renderer.begin_frame(&model, &camera, FrameArena::default());
+        frame.run_stage(&renderer, FrameRequest::masked(&model, &mask));
     }
 
     /// `FrameInFlight` must stay `Send` — the frame server moves frames

@@ -1,4 +1,12 @@
 //! Renderer configuration.
+//!
+//! [`RenderOptions`] holds everything that shapes a frame's *work*; what a
+//! frame renders (the scene and an optional pixel mask) travels separately
+//! in a [`FrameRequest`](crate::FrameRequest). The one raster hot-path knob
+//! is the compositing kernel ([`RasterKernel`]): scalar and SIMD frames are
+//! bit-identical, and the SIMD kernel has a single staging path (per-tile
+//! prepass + row-interval schedule, see `raster.rs`), so the knob moves
+//! wall time, never pixels.
 
 use ms_math::Vec3;
 use serde::{Deserialize, Serialize};
@@ -41,38 +49,6 @@ pub enum RasterKernel {
     /// Four pixels of a tile row per iteration on [`ms_math::simd`] lanes;
     /// row remainders and masked-pixel gaps fall back to the scalar kernel.
     Simd4,
-}
-
-/// How the SIMD raster path stages a tile's depth-sorted CSR list for its
-/// row kernels.
-///
-/// Both modes are **bit-identical**: per-tile staging admits exactly the
-/// splats the per-row re-walk would have admitted for each row (same cull
-/// predicate, evaluated once against the splat's precomputed row interval
-/// instead of once per row), in the same depth order, with the same staged
-/// `f32` terms. Selection is purely a throughput knob — per-tile staging
-/// turns the per-tile cull cost from O(tile_rows × csr_len) into
-/// O(csr_len + Σ active-rows) — and the env override exists so CI can pin
-/// either path without recompiling. The scalar kernel stages nothing and
-/// ignores this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum RasterStaging {
-    /// Resolve from the `MS_RASTER_STAGING` environment variable
-    /// (`perrow`/`pertile`, case-insensitive), falling back to [`PerTile`]
-    /// when unset. This is the CI seam, mirroring
-    /// [`RasterKernel::Auto`]/`MS_RASTER_KERNEL`.
-    ///
-    /// [`PerTile`]: RasterStaging::PerTile
-    #[default]
-    Auto,
-    /// Re-walk the tile's full CSR list for every tile row, culling and
-    /// gathering per row (the PR 6 behavior; the reference staging path).
-    PerRow,
-    /// Stage the tile once: one CSR walk culls splats and precomputes
-    /// their row-invariant terms plus an inclusive row interval
-    /// `[y0, y1]`; each row then iterates only the depth-ordered splats
-    /// whose interval covers it.
-    PerTile,
 }
 
 /// Options controlling a render pass.
@@ -130,20 +106,6 @@ pub struct RenderOptions {
     /// one. The per-pixel-sorted mode ([`SortMode::PerPixel`]) always runs
     /// the scalar gather+sort kernel regardless of this setting.
     pub raster_kernel: RasterKernel,
-    /// How the SIMD raster path stages tile lists for its row kernels.
-    /// Per-row and per-tile staging produce bit-identical frames;
-    /// [`RasterStaging::Auto`] (the default) picks per-tile staging unless
-    /// the `MS_RASTER_STAGING` environment variable pins a mode. Ignored
-    /// by the scalar kernel and by [`SortMode::PerPixel`], which stage
-    /// nothing.
-    ///
-    /// The two raster env overrides compose: `MS_RASTER_KERNEL`
-    /// (`scalar`/`simd4`) selects the compositing kernel for
-    /// [`RasterKernel::Auto`] options, and `MS_RASTER_STAGING`
-    /// (`perrow`/`pertile`) selects the staging path for
-    /// [`RasterStaging::Auto`] options — CI runs the determinism suite
-    /// over the full cross product.
-    pub raster_staging: RasterStaging,
     /// Level-of-detail stride for *peripheral* content: `0` or `1` renders
     /// every splat (LOD off, the default); `k >= 2` makes the foveated
     /// renderer draw its non-foveal eccentricity levels from a coarse
@@ -193,7 +155,6 @@ impl Default for RenderOptions {
             merge_threshold: 0.0,
             merge_max_extent: 4,
             raster_kernel: RasterKernel::Auto,
-            raster_staging: RasterStaging::Auto,
             lod: 0,
             cache_budget_bytes: None,
         }
@@ -247,34 +208,6 @@ impl RenderOptions {
                     "scalar" => RasterKernel::Scalar,
                     "simd4" | "" => RasterKernel::Simd4,
                     other => panic!("MS_RASTER_KERNEL={other:?}: expected \"scalar\" or \"simd4\""),
-                },
-            },
-        }
-    }
-
-    /// The staging path the SIMD raster kernel will actually run:
-    /// `raster_staging` itself when pinned, otherwise the
-    /// `MS_RASTER_STAGING` environment variable (`perrow` or `pertile`,
-    /// case-insensitive), and [`RasterStaging::PerTile`] when neither pins
-    /// one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MS_RASTER_STAGING` is set to an unrecognized value —
-    /// like `MS_RASTER_KERNEL`, the variable exists so CI can pin a path,
-    /// and a typo silently falling back to the default would unpin it.
-    pub fn resolved_staging(&self) -> RasterStaging {
-        match self.raster_staging {
-            RasterStaging::PerRow => RasterStaging::PerRow,
-            RasterStaging::PerTile => RasterStaging::PerTile,
-            RasterStaging::Auto => match std::env::var("MS_RASTER_STAGING") {
-                Err(_) => RasterStaging::PerTile,
-                Ok(v) => match v.to_ascii_lowercase().as_str() {
-                    "perrow" => RasterStaging::PerRow,
-                    "pertile" | "" => RasterStaging::PerTile,
-                    other => {
-                        panic!("MS_RASTER_STAGING={other:?}: expected \"perrow\" or \"pertile\"")
-                    }
                 },
             },
         }
@@ -367,13 +300,12 @@ impl RenderOptions {
                  tiles into any work unit, leaving the raster schedule empty"
                 .into());
         }
-        // The raster scheduling knobs (`raster_kernel`, `raster_staging`)
-        // are closed enums, and `cache_budget_bytes` has a closed domain
-        // (every byte count from 0 = disabled to usize::MAX = unbounded is
-        // meaningful, and none of them changes pixels) — so there is
-        // nothing to range-check for any of them here. Their env overrides
-        // (`MS_RASTER_KERNEL`, `MS_RASTER_STAGING`, `MS_CHUNK_CACHE`) are
-        // instead checked at resolution time, which panics on a typo: the
+        // `raster_kernel` is a closed enum, and `cache_budget_bytes` has a
+        // closed domain (every byte count from 0 = disabled to usize::MAX =
+        // unbounded is meaningful, and none of them changes pixels) — so
+        // there is nothing to range-check for either here. Their env
+        // overrides (`MS_RASTER_KERNEL`, `MS_CHUNK_CACHE`) are instead
+        // checked at resolution time, which panics on a typo: the
         // environment can change between validation and the render, so a
         // check here could not keep CI's pinning honest.
         Ok(())
@@ -508,32 +440,6 @@ mod tests {
         assert_eq!(auto.resolved_kernel(), RasterKernel::Simd4);
         std::env::remove_var("MS_RASTER_KERNEL");
         assert_eq!(auto.resolved_kernel(), RasterKernel::Simd4);
-    }
-
-    #[test]
-    fn staging_resolution() {
-        // Pinned staging modes resolve to themselves regardless of
-        // environment, and every mode passes validation (the knob is a
-        // closed enum — validate has nothing to reject).
-        for staging in [RasterStaging::PerRow, RasterStaging::PerTile] {
-            let o = RenderOptions {
-                raster_staging: staging,
-                ..RenderOptions::default()
-            };
-            assert_eq!(o.resolved_staging(), staging);
-            o.validate().unwrap();
-        }
-        // Auto follows MS_RASTER_STAGING when set (both modes are
-        // bit-identical, so a concurrent render observing the transient
-        // environment is unaffected), PerTile otherwise.
-        let auto = RenderOptions::default();
-        assert_eq!(auto.raster_staging, RasterStaging::Auto);
-        std::env::set_var("MS_RASTER_STAGING", "perrow");
-        assert_eq!(auto.resolved_staging(), RasterStaging::PerRow);
-        std::env::set_var("MS_RASTER_STAGING", "PerTile");
-        assert_eq!(auto.resolved_staging(), RasterStaging::PerTile);
-        std::env::remove_var("MS_RASTER_STAGING");
-        assert_eq!(auto.resolved_staging(), RasterStaging::PerTile);
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! The contract, enforced by `tests/determinism.rs`: for every thread
 //! count (including auto), a frame's image, winner buffer and
 //! [`FrameProfile`] work counters are **bit-identical** to the
-//! `threads = 1` serial reference, on plain, masked and filtered renders.
+//! `threads = 1` serial reference, on plain and masked frames.
 //! Only wall times may differ between runs. Tile merging extends the
 //! contract along a second axis: because a pixel is always composited
 //! against *its own tile's* depth-sorted CSR list — a super-tile only
@@ -66,22 +66,22 @@
 //! winner buffer are bit-identical to the unmerged render's for every
 //! thread count too. Merging changes scheduling, never pixels.
 //!
-//! The Raster stage has two more interchangeable axes: the compositing
-//! *kernel* and the splat *staging* strategy.
-//! [`RenderOptions::raster_kernel`](crate::RenderOptions) selects between
-//! the scalar reference and the 4-lane SIMD kernel (`Auto`, the default,
-//! honors the `MS_RASTER_KERNEL` env var and otherwise picks SIMD); the
-//! seam sits inside a work unit, per group of four row pixels — full
-//! unmasked groups run the batched kernel, remainders and masked groups
-//! fall back to the scalar one.
-//! [`RenderOptions::raster_staging`](crate::RenderOptions) selects how the
-//! SIMD kernel's per-row splat sequences are staged: re-walking the tile's
-//! CSR list every row (`PerRow`, the PR 6 reference) or one per-tile
-//! prepass plus a row-interval schedule (`PerTile`, the default; `Auto`
-//! honors `MS_RASTER_STAGING`). Kernels and staging paths are
-//! bit-identical by construction (see `raster.rs` and the "Raster hot
-//! path" section of `ARCHITECTURE.md`), so kernel and staging choice, like
-//! thread count and merging, change wall time, never pixels.
+//! The Raster stage has one more interchangeable axis, the compositing
+//! *kernel*: [`RenderOptions::raster_kernel`](crate::RenderOptions)
+//! selects between the scalar reference and the 4-lane SIMD kernel
+//! (`Auto`, the default, honors the `MS_RASTER_KERNEL` env var and
+//! otherwise picks SIMD). The seam sits inside a work unit, per group of
+//! four row pixels — full unmasked groups run the batched kernel over the
+//! tile's per-tile staging schedule, remainders and masked groups fall
+//! back to the scalar one. The kernels are bit-identical by construction
+//! (see `raster.rs` and the "Raster hot path" section of
+//! `ARCHITECTURE.md`), so kernel choice, like thread count and merging,
+//! changes wall time, never pixels.
+//!
+//! The stages are sequenced in exactly one place,
+//! [`FrameInFlight::run_stage`](crate::FrameInFlight::run_stage); every
+//! render entry point (plain, masked, chunked, served, pre-projected)
+//! drives a [`FrameInFlight`](crate::FrameInFlight).
 //!
 //! Each stage is a [`Stage`] implementation executed by a [`Profiler`],
 //! which records one [`StageSample`] per stage — wall time plus a
@@ -212,10 +212,9 @@ pub struct FrameProfile {
 /// meaningful for determinism tests.
 ///
 /// The [`RasterWork`] counters are also excluded: they describe how a
-/// kernel/staging configuration did the work, not what it produced, and
-/// they legitimately differ across configurations that must compare equal
-/// (scalar stages nothing; per-row and per-tile staging count iterations
-/// differently). Their own determinism — same counters for the same
+/// kernel did the work, not what it produced, and they legitimately differ
+/// across configurations that must compare equal (the scalar kernel stages
+/// nothing, the SIMD kernel stages every tile). Their own determinism — same counters for the same
 /// configuration across thread counts and schedules — is asserted
 /// explicitly in `tests/determinism.rs` instead.
 impl PartialEq for FrameProfile {
@@ -350,27 +349,24 @@ impl Profiler {
 // Concrete stages
 // ---------------------------------------------------------------------------
 
-/// Projection stage: model → screen-space splats (with admission predicate).
+/// Projection stage: model → screen-space splats.
 ///
 /// Points are sharded over contiguous ranges onto the worker pool when
 /// `options.threads != 1`; shard outputs concatenate in range order, so
-/// splat order stays model order for every thread count. The predicate is
-/// `Fn + Sync` because shards evaluate it concurrently.
-pub struct ProjectStage<'a, F: Fn(usize) -> bool + Sync> {
+/// splat order stays model order for every thread count.
+pub struct ProjectStage<'a> {
     /// Model to project.
     pub model: &'a GaussianModel,
     /// View camera.
     pub camera: &'a Camera,
     /// Render options.
     pub options: &'a RenderOptions,
-    /// Per-point admission predicate (foveation Filtering).
-    pub admit: F,
     /// Recycled splat storage (from a [`FrameArena`](crate::FrameArena));
     /// cleared before use, so only its capacity matters. Empty is fine.
     pub recycle: Vec<ProjectedSplat>,
 }
 
-impl<F: Fn(usize) -> bool + Sync> Stage for ProjectStage<'_, F> {
+impl Stage for ProjectStage<'_> {
     type In = ();
     type Out = Vec<ProjectedSplat>;
 
@@ -380,7 +376,7 @@ impl<F: Fn(usize) -> bool + Sync> Stage for ProjectStage<'_, F> {
 
     fn run(&mut self, _input: ()) -> Self::Out {
         let mut out = std::mem::take(&mut self.recycle);
-        project_model_filtered_into(self.model, self.camera, self.options, &self.admit, &mut out);
+        project_model_filtered_into(self.model, self.camera, self.options, &|_| true, &mut out);
         out
     }
 
@@ -429,34 +425,35 @@ impl Stage for BinStage<'_> {
                 offsets,
                 indices,
             ),
-            Some(mask) => {
-                let g = self.grid;
-                TileBins::build_filtered_with_threads_into(
-                    self.splats,
-                    g,
-                    |tx, ty| {
-                        let x_end = ((tx + 1) * g.tile_size).min(g.width);
-                        let y_end = ((ty + 1) * g.tile_size).min(g.height);
-                        for y in (ty * g.tile_size)..y_end {
-                            for x in (tx * g.tile_size)..x_end {
-                                if mask[(y * g.width + x) as usize] {
-                                    return true;
-                                }
-                            }
-                        }
-                        false
-                    },
-                    self.threads,
-                    offsets,
-                    indices,
-                )
-            }
+            Some(mask) => TileBins::build_filtered_with_threads_into(
+                self.splats,
+                self.grid,
+                |tx, ty| mask_tile_active(mask, self.grid, tx, ty),
+                self.threads,
+                offsets,
+                indices,
+            ),
         }
     }
 
     fn items(&self, out: &Self::Out) -> u64 {
         out.total_intersections()
     }
+}
+
+/// Whether tile `(tx, ty)` of `grid` holds at least one active pixel of
+/// the row-major pixel `mask` — the tile filter of masked frames, shared by
+/// the in-core Bin stage and the chunked bin builder so both skip exactly
+/// the same tiles.
+pub(crate) fn mask_tile_active(mask: &[bool], grid: TileGridDims, tx: u32, ty: u32) -> bool {
+    let x_end = ((tx + 1) * grid.tile_size).min(grid.width);
+    let y_end = ((ty + 1) * grid.tile_size).min(grid.height);
+    ((ty * grid.tile_size)..y_end).any(|y| {
+        let row = (y * grid.width) as usize;
+        mask[row + (tx * grid.tile_size) as usize..row + x_end as usize]
+            .iter()
+            .any(|&a| a)
+    })
 }
 
 /// Merge stage: CSR tile bins → the raster work-unit schedule.

@@ -202,11 +202,13 @@ fn project_range<F: Fn(usize) -> bool>(
 /// concatenate in point order), only the wall time.
 const MIN_POINTS_PER_SHARD: usize = 512;
 
-/// [`project_model`] with a per-point admission predicate.
-///
-/// Foveated rendering uses the predicate to drop points whose quality bound
-/// excludes them from the active level set before any further work
-/// (the paper's Filtering stage, Fig. 7-E).
+/// [`project_model`] with a per-point admission predicate: points for
+/// which `admit(i)` is false are dropped before any projection work. The
+/// resulting splats render through
+/// [`Renderer::render_splats`](crate::Renderer::render_splats). (The
+/// foveated renderer does not use the predicate: its levels are
+/// materialized subset models, and its Filtering stage is the per-level
+/// pixel mask of a [`FrameRequest`](crate::FrameRequest).)
 ///
 /// When `options.threads != 1` the point range is sharded into contiguous
 /// chunks projected on the worker pool; shard outputs concatenate in chunk

@@ -1,11 +1,12 @@
 //! Rasterization kernels and the top-level [`Renderer`].
 //!
-//! The renderer itself is thin: every entry point assembles the staged
-//! frame pipeline from [`crate::pipeline`] (Project → Bin → Merge →
-//! Raster → Composite) and runs it under a [`Profiler`], so per-stage wall
-//! time and work counters land in [`RenderStats::profile`]. This module
-//! keeps the per-work-unit and per-pixel compositing kernels the Raster
-//! stage executes.
+//! The renderer itself is thin: every entry point begins a
+//! [`FrameInFlight`](crate::FrameInFlight) and runs it to completion, so
+//! the staged frame pipeline of [`crate::pipeline`] (Project → Bin → Merge
+//! → Raster → Composite) is sequenced in one place and per-stage wall time
+//! and work counters land in [`RenderStats::profile`]. This module keeps
+//! the per-work-unit and per-pixel compositing kernels the Raster stage
+//! executes.
 //!
 //! # Scalar and SIMD kernels
 //!
@@ -15,11 +16,11 @@
 //! * [`composite_pixel`] — the scalar reference: one pixel front-to-back
 //!   over its tile's depth-sorted CSR list.
 //! * [`composite_row4`] — four horizontally-adjacent pixels of one tile
-//!   row batched onto [`ms_math::simd`] lanes. Each CSR splat is broadcast
-//!   against the four pixel centers; admission (`alpha_min`), the
-//!   `alpha_max` clamp, color/transmittance/winner accumulation and the
-//!   `t < t_min` early-stop all happen per lane under a [`Mask4`], so a
-//!   lane that retires early freezes exactly where the scalar loop would
+//!   row batched onto [`ms_math::simd`] lanes. Each staged splat is
+//!   broadcast against the four pixel centers; admission (`alpha_min`),
+//!   the `alpha_max` clamp, color/transmittance/winner accumulation and
+//!   the `t < t_min` early-stop all happen per lane under a [`Mask4`], so
+//!   a lane that retires early freezes exactly where the scalar loop would
 //!   have `break`-ed.
 //!
 //! The two kernels are **bit-identical by construction**: every `f32`
@@ -27,49 +28,36 @@
 //! order inside the conic evaluation — is the same scalar op in the same
 //! order, just four pixels at a time (the lane ops in `ms_math::simd` are
 //! plain per-lane scalar ops, so there is no FMA contraction or vendor
-//! `min` quirk to diverge on). The one shortcut the SIMD kernel takes, the
-//! far-tail `exp` skip, is gated by a conservative threshold with enough
-//! margin that it provably only skips contributions the scalar kernel
-//! would have rejected (`alpha < alpha_min`) anyway — see
-//! [`splat_cull_data`], which also derives a conservative bounding box of
-//! the admission region so whole far-tail splats skip a 4-pixel group
-//! without any lane arithmetic. [`rasterize_unit`] drives full 4-pixel groups
-//! through the SIMD kernel and row remainders or masked-pixel gaps through
-//! the scalar one, so any pixel mix still composes to the scalar frame.
+//! `min` quirk to diverge on). The shortcuts the SIMD kernel takes — the
+//! far-tail `exp` skip and the admission bounding box that skips whole
+//! splats — are gated by conservative bounds with enough margin that they
+//! provably only skip contributions the scalar kernel would have rejected
+//! (`alpha < alpha_min`) anyway; see [`splat_cull`]. [`rasterize_unit`]
+//! drives full 4-pixel groups through the SIMD kernel and row remainders
+//! or masked-pixel gaps through the scalar one, so any pixel mix still
+//! composes to the scalar frame.
 //!
 //! # Tile staging
 //!
-//! How the SIMD path feeds [`composite_row4`] is itself a knob
-//! ([`RenderOptions::raster_staging`](crate::options::RasterStaging)):
-//!
-//! * **Per-row** ([`stage_row`]) — the PR 6 reference: every tile row
-//!   re-walks the tile's depth-sorted CSR list, culls against the
-//!   admission boxes and gathers survivors. O(tile_rows × csr_len) cull
-//!   work per tile.
-//! * **Per-tile** ([`stage_tile`]) — one CSR walk culls each splat once,
-//!   stages its row-invariant terms into SoA buffers, and derives its
-//!   inclusive row interval from the admission box with the *same* float
-//!   predicate the per-row path evaluates (exact binary search, so the
-//!   admitted set per row is identical by construction, not merely by
-//!   slack). A counting sort over the intervals then schedules the staged
-//!   splats by row — depth order preserved within each row — and each row
-//!   gathers only its own interval-active splats
-//!   ([`TileStage::gather_row`]). O(csr_len + Σ active-rows) per tile.
-//!
-//! Both paths push identical [`RowSplat`] sequences, so the compositing
-//! kernels cannot observe which one ran. The per-tile SoA buffers live in
-//! [`RasterScratch`], recycled across tiles, work units and (through
-//! [`FrameArena`](crate::FrameArena)) frames; the
+//! The SIMD kernel is fed by one staging path, [`TileStage`]: one CSR
+//! walk per tile culls each splat once against its admission box, stages
+//! its row-invariant terms into SoA buffers, and derives its inclusive row
+//! interval with exact binary searches on the admission box's row
+//! predicates. A counting sort over the intervals schedules the staged
+//! splats by row — depth order preserved within each row — and each
+//! 4-pixel group lazily reads only its row's interval-active splats
+//! ([`TileStage::row_iter`]). O(csr_len + Σ active-rows) per tile. The SoA
+//! buffers live in [`RasterScratch`], recycled across tiles, work units
+//! and (through [`FrameArena`](crate::FrameArena)) frames; the
 //! [`RasterWork`](crate::RasterWork) counters in the frame profile record
-//! how much row-iteration work the interval scheduler avoided.
+//! how much row-iteration work the interval schedule avoided.
 
 use crate::binning::{SuperTile, TileBins};
-use crate::options::{RasterKernel, RasterStaging, RenderOptions, SortMode};
-use crate::pipeline::{
-    BinStage, CompositeStage, Composited, MergeStage, Profiler, ProjectStage, RasterStage,
-};
+use crate::frame::{FrameArena, FrameInFlight, FrameRequest, SceneRef};
+use crate::options::{RasterKernel, RenderOptions, SortMode};
+use crate::pipeline::{Composited, Profiler};
 use crate::projection::ProjectedSplat;
-use crate::stats::{RasterWork, RenderStats, TileGridDims};
+use crate::stats::{RasterWork, RenderStats};
 use ms_math::simd::{F32x4, Mask4, U32x4};
 use ms_math::Vec2;
 use ms_scene::{Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
@@ -170,32 +158,52 @@ impl Renderer {
 
     /// Render `model` from `camera`.
     pub fn render(&self, model: &GaussianModel, camera: &Camera) -> RenderOutput {
-        self.render_with_arena(model, camera, crate::FrameArena::default())
+        self.render_with_arena(model, camera, FrameArena::default())
             .0
     }
 
-    /// [`Renderer::render`] through the resumable per-stage machinery
-    /// ([`Renderer::begin_frame`] + [`FrameInFlight::run_stage`]), reusing
-    /// `arena`'s scratch buffers instead of allocating per frame; returns
-    /// the output plus the recycled arena for the next frame. This *is*
-    /// `render` — `render` routes through it with a fresh arena — so the
+    /// Render a [`FrameRequest`] — a scene plus an optional pixel mask —
+    /// through the resumable per-stage machinery
+    /// ([`Renderer::begin_frame_source`] + [`FrameInFlight::run_stage`]),
+    /// reusing `arena`'s scratch buffers instead of allocating per frame;
+    /// returns the output plus the recycled arena for the next frame. This
+    /// *is* `render` and `render_source` — both route through it — so the
     /// output is bit-identical regardless of where the arena came from.
+    /// `request` accepts a plain `&GaussianModel`, a [`SceneRef`], or
+    /// [`FrameRequest::masked`] for a pixel-masked frame.
     ///
     /// # Panics
     ///
     /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    ///
-    /// [`FrameInFlight::run_stage`]: crate::FrameInFlight::run_stage
-    pub fn render_with_arena(
+    /// addressing, when a mask does not hold one entry per pixel, or when a
+    /// chunked source fails to deliver a chunk.
+    pub fn render_with_arena<'a>(
         &self,
-        model: &GaussianModel,
+        request: impl Into<FrameRequest<'a>>,
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> (RenderOutput, crate::FrameArena) {
-        let mut frame = self.begin_frame(model, camera, arena);
-        while !frame.run_stage(self, model) {}
-        frame.finish(self)
+        arena: FrameArena,
+    ) -> (RenderOutput, FrameArena) {
+        match self.drive(request.into(), camera, arena) {
+            (Ok(output), arena) => (output, arena),
+            (Err(e), _) => panic!("loading scene chunk failed: {e}"),
+        }
+    }
+
+    /// Begin a frame for `request` and pump it to completion or failure.
+    fn drive(
+        &self,
+        request: FrameRequest<'_>,
+        camera: &Camera,
+        arena: FrameArena,
+    ) -> (Result<RenderOutput, SourceError>, FrameArena) {
+        let mut frame = self.begin_frame_source(request, camera, arena);
+        while !frame.run_stage(self, request) {}
+        if frame.is_failed() {
+            let (error, arena) = frame.into_failure();
+            return (Err(error), arena);
+        }
+        let (output, arena) = frame.finish(self);
+        (Ok(output), arena)
     }
 
     /// Start a resumable frame: the returned [`FrameInFlight`] owns the
@@ -215,42 +223,52 @@ impl Renderer {
     /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
     /// addressing.
     ///
-    /// [`FrameInFlight`]: crate::FrameInFlight
-    /// [`FrameInFlight::finish`]: crate::FrameInFlight::finish
-    /// [`run_stage`]: crate::FrameInFlight::run_stage
+    /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame(
         &self,
         model: &GaussianModel,
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> crate::FrameInFlight {
-        self.begin_frame_source(crate::SceneRef::InCore(model), camera, arena)
+        arena: FrameArena,
+    ) -> FrameInFlight {
+        self.begin_frame_source(model, camera, arena)
     }
 
-    /// [`Renderer::begin_frame`] over a [`SceneRef`](crate::SceneRef):
-    /// in-core scenes start at the Project stage exactly as `begin_frame`
-    /// does; chunked sources start at the streaming chunk-count pass, and
-    /// each [`run_stage`](crate::FrameInFlight::run_stage) call advances
-    /// one *chunk* until the stream joins the common pipeline at Merge —
-    /// so a frame server interleaves chunked frames exactly like in-core
-    /// ones, at chunk granularity.
+    /// [`Renderer::begin_frame`] for any [`FrameRequest`]: in-core scenes
+    /// start at the Project stage exactly as `begin_frame` does; chunked
+    /// sources start at the streaming chunk-count pass, and each
+    /// [`run_stage`](FrameInFlight::run_stage) call advances one *chunk*
+    /// until the stream joins the common pipeline at Merge — so a frame
+    /// server interleaves chunked frames exactly like in-core ones, at
+    /// chunk granularity. A pixel mask restricts Bin and Raster to the
+    /// active pixels on either kind of scene.
     ///
     /// # Panics
     ///
     /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    pub fn begin_frame_source(
+    /// addressing, or when a mask does not hold one entry per pixel. The
+    /// mask-size comparison is done in `u64`: at extreme dimensions
+    /// `width * height` overflows `u32`, which used to let a wrong-sized
+    /// mask slip past the check.
+    pub fn begin_frame_source<'a>(
         &self,
-        scene: crate::SceneRef<'_>,
+        request: impl Into<FrameRequest<'a>>,
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> crate::FrameInFlight {
+        arena: FrameArena,
+    ) -> FrameInFlight {
+        let request = request.into();
         check_camera(camera);
+        if let Some(mask) = request.mask {
+            assert_eq!(
+                mask.len() as u64,
+                camera.width as u64 * camera.height as u64,
+                "pixel mask size mismatch"
+            );
+        }
         debug_assert!(
             self.options.validate().is_ok(),
             "Renderer options invalidated after construction"
         );
-        crate::FrameInFlight::new(*camera, scene, &self.options, arena)
+        FrameInFlight::new(*camera, request, &self.options, arena)
     }
 
     /// Render a chunked [`SceneSource`](ms_scene::SceneSource) without ever
@@ -272,7 +290,7 @@ impl Renderer {
         source: &(dyn SceneSource + Sync),
         camera: &Camera,
     ) -> RenderOutput {
-        self.render_source_with_arena(source, camera, crate::FrameArena::default())
+        self.render_source_with_arena(source, camera, FrameArena::default())
             .0
     }
 
@@ -287,13 +305,9 @@ impl Renderer {
         &self,
         source: &(dyn SceneSource + Sync),
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> (RenderOutput, crate::FrameArena) {
-        let (result, arena) = self.try_render_source_with_arena(source, camera, arena);
-        match result {
-            Ok(output) => (output, arena),
-            Err(e) => panic!("loading scene chunk failed: {e}"),
-        }
+        arena: FrameArena,
+    ) -> (RenderOutput, FrameArena) {
+        self.render_with_arena(SceneRef::Chunked(source), camera, arena)
     }
 
     /// [`Renderer::render_source`] with chunk-load failures surfaced as an
@@ -311,7 +325,7 @@ impl Renderer {
         source: &(dyn SceneSource + Sync),
         camera: &Camera,
     ) -> Result<RenderOutput, SourceError> {
-        self.try_render_source_with_arena(source, camera, crate::FrameArena::default())
+        self.try_render_source_with_arena(source, camera, FrameArena::default())
             .0
     }
 
@@ -328,93 +342,15 @@ impl Renderer {
         &self,
         source: &(dyn SceneSource + Sync),
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> (Result<RenderOutput, SourceError>, crate::FrameArena) {
-        let scene = crate::SceneRef::Chunked(source);
-        let mut frame = self.begin_frame_source(scene, camera, arena);
-        while !frame.run_stage(self, scene) {}
-        if frame.is_failed() {
-            let (error, arena) = frame.into_failure();
-            return (Err(error), arena);
-        }
-        let (output, arena) = frame.finish(self);
-        (Ok(output), arena)
+        arena: FrameArena,
+    ) -> (Result<RenderOutput, SourceError>, FrameArena) {
+        self.drive(SceneRef::Chunked(source).into(), camera, arena)
     }
 
-    /// Render with a per-point admission predicate (the foveation Filtering
-    /// stage drops points whose quality bound excludes them). The predicate
-    /// is `Fn + Sync` because projection shards evaluate it concurrently
-    /// when `threads != 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image (zero width or height)
-    /// or exceeds `u32` pixel addressing — rejected here, at pipeline
-    /// entry, instead of surfacing as a divide-by-zero or a wrapped pixel
-    /// index deep in the pipeline.
-    pub fn render_filtered<F: Fn(usize) -> bool + Sync>(
-        &self,
-        model: &GaussianModel,
-        camera: &Camera,
-        admit: F,
-    ) -> RenderOutput {
-        check_camera(camera);
-        let mut profiler = Profiler::default();
-        let splats = profiler.run(
-            &mut ProjectStage {
-                model,
-                camera,
-                options: &self.options,
-                admit,
-                recycle: Vec::new(),
-            },
-            (),
-        );
-        self.run_pipeline(model.len(), &splats, camera, None, profiler)
-    }
-
-    /// Render only the pixels where `mask` is true (row-major, one entry
-    /// per pixel); masked-out pixels keep the background color. Tiles with
-    /// no active pixel are skipped entirely — splats are not even duplicated
-    /// into them, mirroring the foveation Filtering stage (Fig. 7-E).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask.len() != width * height`, or when `camera` has a
-    /// zero-pixel image or exceeds `u32` pixel addressing. The mask-size
-    /// comparison is done in `u64`: at extreme dimensions `width * height`
-    /// overflows `u32`, which used to let a wrong-sized mask slip past the
-    /// check.
-    pub fn render_masked<F: Fn(usize) -> bool + Sync>(
-        &self,
-        model: &GaussianModel,
-        camera: &Camera,
-        admit: F,
-        mask: &[bool],
-    ) -> RenderOutput {
-        check_camera(camera);
-        assert_eq!(
-            mask.len() as u64,
-            camera.width as u64 * camera.height as u64,
-            "pixel mask size mismatch"
-        );
-        let mut profiler = Profiler::default();
-        let splats = profiler.run(
-            &mut ProjectStage {
-                model,
-                camera,
-                options: &self.options,
-                admit,
-                recycle: Vec::new(),
-            },
-            (),
-        );
-        self.run_pipeline(model.len(), &splats, camera, Some(mask), profiler)
-    }
-
-    /// Rasterize pre-projected splats. Exposed so callers that re-render the
-    /// same projection (e.g. the trainer's forward/backward passes) can skip
-    /// re-projection; the resulting profile carries no Project sample.
+    /// Rasterize pre-projected splats: a frame begun at the Bin stage.
+    /// Exposed so callers holding hand-built or reused projections (the
+    /// kernel-equivalence property tests) can skip projection; the
+    /// resulting profile carries no Project sample.
     ///
     /// # Panics
     ///
@@ -427,75 +363,14 @@ impl Renderer {
         camera: &Camera,
     ) -> RenderOutput {
         check_camera(camera);
-        self.run_pipeline(model_len, splats, camera, None, Profiler::default())
-    }
-
-    /// Run Bin → Merge → Raster → Composite over projected splats and
-    /// assemble [`RenderStats`] from what the stages measured.
-    fn run_pipeline(
-        &self,
-        model_len: usize,
-        splats: &[ProjectedSplat],
-        camera: &Camera,
-        mask: Option<&[bool]>,
-        mut profiler: Profiler,
-    ) -> RenderOutput {
-        let grid = TileGridDims::for_image(camera.width, camera.height, self.options.tile_size);
-        let track = self.options.track_point_stats;
-
-        let bins = profiler.run(
-            &mut BinStage {
-                splats,
-                grid,
-                mask,
-                threads: self.options.resolved_threads(),
-                recycle: (Vec::new(), Vec::new()),
-            },
-            (),
-        );
-        let schedule = profiler.run(
-            &mut MergeStage {
-                options: &self.options,
-            },
-            &bins,
-        );
-        // One-shot render paths allocate their staging scratch locally; the
-        // resumable frame path recycles it through the `FrameArena` instead.
-        let mut raster_scratch = Vec::new();
-        let units = profiler.run(
-            &mut RasterStage {
-                splats,
-                options: &self.options,
-                camera,
-                mask,
-                scratch: &mut raster_scratch,
-            },
-            (&bins, &schedule),
-        );
-        let composited = profiler.run(
-            &mut CompositeStage {
-                camera,
-                options: &self.options,
-                track_winners: track,
-            },
-            units,
-        );
-        assemble_output(
-            &self.options,
-            model_len,
-            splats,
-            &bins,
-            &schedule,
-            composited,
-            profiler,
-        )
+        let mut frame = FrameInFlight::from_splats(*camera, model_len, splats);
+        while !frame.step(self, None, None) {}
+        frame.finish(self).0
     }
 }
 
-/// Assemble the final [`RenderOutput`] from the pipeline's stage outputs —
-/// the shared tail of [`Renderer`]'s monolithic path and the resumable
-/// [`FrameInFlight`](crate::FrameInFlight) path, so both produce the exact
-/// same statistics by construction.
+/// Assemble the final [`RenderOutput`] from the pipeline's stage outputs
+/// (the tail of [`FrameInFlight::finish`]).
 pub(crate) fn assemble_output(
     options: &RenderOptions,
     model_len: usize,
@@ -593,19 +468,14 @@ fn check_camera(camera: &Camera) {
 }
 
 /// Recyclable per-worker scratch for one raster work unit: the per-tile
-/// staging buffers (`TileStage`), the per-row staged splat sequence, the
-/// per-row-staging admission culls and the per-pixel sort-mode gather
+/// staging buffers (`TileStage`) and the per-pixel sort-mode gather
 /// buffer. One instance serves one raster worker at a time; the Raster
 /// stage keeps a pool of `threads` instances, recycled across work units
 /// and — through [`FrameArena`](crate::FrameArena) — across frames, so the
 /// steady-state raster hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct RasterScratch {
-    /// Per-(tile, splat) admission culls (per-row staging path).
-    culls: Vec<SplatCull>,
-    /// Staged splat sequence of the current tile row.
-    row: Vec<RowSplat>,
-    /// Per-tile SoA staging buffers (per-tile staging path).
+    /// Per-tile SoA staging buffers of the SIMD kernel.
     stage: TileStage,
     /// Per-pixel sort-mode contribution gather buffer.
     contribs: Vec<(f32, f32, ms_math::Vec3, u32)>,
@@ -615,8 +485,6 @@ impl RasterScratch {
     /// Drop contents, keep capacity — called when an arena is returned so
     /// recycled scratch never leaks splat data between frames or sessions.
     pub(crate) fn clear(&mut self) {
-        self.culls.clear();
-        self.row.clear();
         self.stage.clear();
         self.contribs.clear();
     }
@@ -664,13 +532,7 @@ pub(crate) fn rasterize_unit(
     let mut work = RasterWork::default();
     let simd =
         options.sort_mode == SortMode::PerTile && options.resolved_kernel() == RasterKernel::Simd4;
-    let per_tile_staging = simd && options.resolved_staging() == RasterStaging::PerTile;
-    let RasterScratch {
-        culls,
-        row,
-        stage,
-        contribs,
-    } = scratch;
+    let RasterScratch { stage, contribs } = scratch;
 
     for ty in unit.ty0..unit.ty1 {
         for tx in unit.tx0..unit.tx1 {
@@ -682,33 +544,21 @@ pub(crate) fn rasterize_unit(
             let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
             let ty_start = ty * ts;
             let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
-            // Row-invariant pixel-center columns of this tile, shared by
-            // both staging paths' column-overlap cull.
-            let row_x_lo = tx_start as f32 + 0.5;
-            let row_x_hi = (tx_end - 1) as f32 + 0.5;
             if simd {
-                let rows = (ty_end - ty_start) as u64;
-                if per_tile_staging {
-                    let culled = stage
-                        .stage_tile(options, splats, list, ty_start, ty_end, row_x_lo, row_x_hi);
-                    work.splats_staged += list.len() as u64 - culled;
-                    work.splats_culled += culled;
-                    // One row iteration per scheduled (row, splat) pair.
-                    work.row_iterations += stage.schedule_len() as u64;
-                } else {
-                    splat_cull_data(options, splats, list, culls);
-                    work.splats_staged += list.len() as u64;
-                    work.row_iterations += rows * list.len() as u64;
-                }
-                work.row_iteration_bound += rows * list.len() as u64;
+                // The tile's first/last pixel-center columns are the
+                // row-invariant operands of the staging column cull.
+                let row_x_lo = tx_start as f32 + 0.5;
+                let row_x_hi = (tx_end - 1) as f32 + 0.5;
+                let culled =
+                    stage.stage_tile(options, splats, list, ty_start, ty_end, row_x_lo, row_x_hi);
+                work.splats_staged += list.len() as u64 - culled;
+                work.splats_culled += culled;
+                // One row iteration per scheduled (row, splat) pair, against
+                // the `rows × csr_len` walk of re-staging every row.
+                work.row_iterations += stage.schedule_len() as u64;
+                work.row_iteration_bound += (ty_end - ty_start) as u64 * list.len() as u64;
             }
             for y in ty_start..ty_end {
-                // Per-tile staging needs no per-row work at all: the
-                // kernel below reads the staged SoA through the row's
-                // schedule slice directly.
-                if simd && !per_tile_staging {
-                    stage_row(splats, list, culls, y as f32 + 0.5, row_x_lo, row_x_hi, row);
-                }
                 let mut x = tx_start;
                 while x < tx_end {
                     // Full 4-pixel groups with no masked-out gap take the
@@ -728,20 +578,16 @@ pub(crate) fn rasterize_unit(
                             (x + 2) as f32 + 0.5,
                             (x + 3) as f32 + 0.5,
                         );
-                        let (colors, group_winners, steps) = if per_tile_staging {
-                            composite_row4(
-                                options,
-                                stage.row_iter(
-                                    y - ty_start,
-                                    y as f32 + 0.5,
-                                    px_x.lane(0),
-                                    px_x.lane(3),
-                                ),
-                                px_x,
-                            )
-                        } else {
-                            composite_row4(options, row.iter().copied(), px_x)
-                        };
+                        let (colors, group_winners, steps) = composite_row4(
+                            options,
+                            stage.row_iter(
+                                y - ty_start,
+                                y as f32 + 0.5,
+                                px_x.lane(0),
+                                px_x.lane(3),
+                            ),
+                            px_x,
+                        );
                         let out_idx = ((y - y_start) * unit_w + (x - x_start)) as usize;
                         pixels[out_idx..out_idx + 4].copy_from_slice(&colors);
                         if track {
@@ -842,9 +688,9 @@ const CULL_BOX_RELATIVE_SLACK: f32 = 1.001;
 /// See [`CULL_BOX_RELATIVE_SLACK`].
 const CULL_BOX_ABSOLUTE_SLACK: f32 = 1.0;
 
-/// Per-splat admission-culling data for one tile list, precomputed once
-/// per raster unit by [`splat_cull_data`] and consumed by
-/// [`composite_row4`].
+/// One splat's admission-culling data, computed by [`splat_cull`] when
+/// [`TileStage::stage_tile`] stages the splat and consumed by the staging
+/// cull and [`composite_row4`].
 #[derive(Debug, Clone, Copy)]
 struct SplatCull {
     /// Lower bound on the Gaussian exponent below which admission
@@ -875,7 +721,7 @@ impl SplatCull {
     };
 }
 
-/// Per-splat admission culls: a lower bound on the Gaussian exponent below
+/// One splat's admission cull: a lower bound on the Gaussian exponent below
 /// which a contribution **provably** fails the `alpha_min` admission test
 /// (letting [`composite_row4`] skip the dominant `exp` call per lane), plus
 /// a conservative bounding box of the region where admission is possible
@@ -907,19 +753,6 @@ impl SplatCull {
 /// including NaNs — falls back to [`SplatCull::EXACT`]. An `r² ≤ 0` floor
 /// means admission is impossible everywhere (`opacity · e^margin ≤
 /// alpha_min`), encoded as an empty box.
-fn splat_cull_data(
-    o: &RenderOptions,
-    splats: &[ProjectedSplat],
-    list: &[u32],
-    out: &mut Vec<SplatCull>,
-) {
-    out.clear();
-    out.extend(list.iter().map(|&si| splat_cull(o, &splats[si as usize])));
-}
-
-/// One splat's admission cull — the per-splat body of [`splat_cull_data`],
-/// shared verbatim by the per-tile staging prepass so both staging paths
-/// cull against the exact same `f32` boxes and floors.
 fn splat_cull(o: &RenderOptions, s: &ProjectedSplat) -> SplatCull {
     let power_floor = (o.alpha_min / s.opacity).ln() - EXP_SKIP_MARGIN;
     let r2 = -2.0 * power_floor;
@@ -959,12 +792,11 @@ fn splat_cull(o: &RenderOptions, s: &ProjectedSplat) -> SplatCull {
     }
 }
 
-/// One depth-ordered splat of a tile row, staged by [`stage_row`]: the
-/// row-invariant conic terms are precomputed (with the scalar kernel's own
-/// association order, so they are the *same* `f32` values the scalar
-/// kernel would produce) and the fields the inner loop touches sit in one
-/// compact record, so the row's pixel groups stream a contiguous array
-/// instead of chasing the CSR list into the full splat table.
+/// One depth-ordered splat of a tile row, materialized by
+/// [`TileStage::row_iter`]: the row-invariant conic terms are precomputed
+/// (with the scalar kernel's own association order, so they are the
+/// *same* `f32` values the scalar kernel would produce) and the fields the
+/// inner loop touches sit in one compact record.
 #[derive(Debug, Clone, Copy)]
 struct RowSplat {
     /// Splat center column.
@@ -991,81 +823,44 @@ struct RowSplat {
     point_index: u32,
 }
 
-/// Stage one tile row for [`composite_row4`]: walk the tile's depth-sorted
-/// CSR list once, drop every splat whose admission box provably misses the
-/// row (wrong rows entirely, or columns outside `[row_x_lo, row_x_hi]` —
-/// both exactly as safe as the per-lane floor test, see
-/// [`splat_cull_data`]), and gather the survivors' row-invariant terms.
-/// Depth order is preserved, so the groups composite the same admitted
-/// sequence the scalar kernel would.
-#[allow(clippy::too_many_arguments)]
-fn stage_row(
-    splats: &[ProjectedSplat],
-    list: &[u32],
-    culls: &[SplatCull],
-    py: f32,
-    row_x_lo: f32,
-    row_x_hi: f32,
-    out: &mut Vec<RowSplat>,
-) {
-    out.clear();
-    for (&si, cull) in list.iter().zip(culls) {
-        // NaN bounds compare false on every test — never dropped.
-        if py < cull.y_lo || py > cull.y_hi || row_x_hi < cull.x_lo || row_x_lo > cull.x_hi {
-            continue;
-        }
-        let s = &splats[si as usize];
-        let dy = py - s.center.y;
-        out.push(RowSplat {
-            center_x: s.center.x,
-            a: s.conic.a,
-            b2: 2.0 * s.conic.b,
-            dy,
-            c_dy2: (s.conic.c * dy) * dy,
-            power_floor: cull.power_floor,
-            x_lo: cull.x_lo,
-            x_hi: cull.x_hi,
-            opacity: s.opacity,
-            color: s.color,
-            point_index: s.point_index,
-        });
-    }
-}
-
-/// Per-tile staging prepass + row-interval scheduler — the
-/// [`RasterStaging::PerTile`] replacement for calling [`stage_row`] once
-/// per row.
+/// Per-tile staging prepass + row-interval scheduler — the SIMD kernel's
+/// staging path.
 ///
 /// [`TileStage::stage_tile`] walks the tile's depth-sorted CSR list
-/// *once*: it computes the same admission cull as the per-row path
-/// ([`splat_cull`], verbatim), drops splats whose box misses the tile's
-/// columns or every tile row, and writes each survivor's splat-invariant
-/// terms into SoA buffers **in CSR depth order**, together with the
-/// inclusive row interval its admission box covers. A counting sort over
-/// those intervals then builds a per-row schedule
-/// (`row_splats[row_offsets[r]..row_offsets[r + 1]]` = the depth-ordered
-/// staged indices active on row `r`), so [`TileStage::gather_row`] touches
-/// only the splats whose interval covers the row — O(csr_len +
-/// Σ intervals) per tile instead of the per-row path's O(rows × csr_len)
-/// re-walk.
+/// *once*: it computes each splat's admission cull ([`splat_cull`]), drops
+/// splats whose box misses the tile's columns or every tile row, and
+/// writes each survivor's splat-invariant terms into SoA buffers **in CSR
+/// depth order**, together with the inclusive row interval its admission
+/// box covers. A counting sort over those intervals then builds a per-row
+/// schedule (`row_splats[row_offsets[r]..row_offsets[r + 1]]` = the
+/// depth-ordered staged indices active on row `r`), so
+/// [`TileStage::row_iter`] touches only the splats whose interval covers
+/// the row — O(csr_len + Σ intervals) per tile instead of an
+/// O(rows × csr_len) re-walk of the list per row.
 ///
-/// # Bit-identity with the per-row path
+/// # Bit-identity with the scalar admission predicate
 ///
-/// [`stage_row`] keeps splat `s` on row `y` iff `!(py < y_lo || py > y_hi
-/// || row_x_hi < x_lo || row_x_lo > x_hi)` with `py = y as f32 + 0.5`.
-/// The column test is row-invariant, so it is evaluated once here with the
-/// same operands. The row tests are resolved into an interval by binary
-/// search **on those exact `f32` predicates**: `py` is monotone
-/// nondecreasing in `y`, so `py < y_lo` flips true→false at most once and
-/// `py > y_hi` flips false→true at most once across the tile's rows, and
-/// the partition points bound precisely the rows the per-row test would
-/// keep (NaN bounds compare false everywhere → full interval, exactly
-/// like [`stage_row`] never dropping on NaN). Scattering survivors in
-/// staging order keeps each row's schedule slice in CSR depth order, and
-/// [`TileStage::gather_row`] computes the dy-dependent terms with the same
-/// association (`py - center_y`, `(c · dy) · dy`) from verbatim-staged
-/// fields — so both paths push identical [`RowSplat`] sequences and the
-/// kernels composite identical bits.
+/// The scalar kernel admits splat `s` at a pixel iff
+/// `!(min(opacity · e^power, alpha_max) < alpha_min)`; a rejected splat
+/// contributes no color, no blend step and no transmittance change. So
+/// the SIMD kernel may drop any splat from a pixel group's sequence that
+/// scalar admission provably rejects at all four pixels, and nothing else:
+/// the admitted subsequence — and with it every accumulation, winner and
+/// early stop — is unchanged. Staging only ever drops a splat from a row
+/// (or a group) when the row's pixel centers `py = y as f32 + 0.5` (or the
+/// group's columns) lie outside its admission box, and [`splat_cull`]
+/// proves `power < power_floor` — hence scalar rejection — for every
+/// pixel outside that box. The row test `!(py < y_lo || py > y_hi)` is
+/// monotone in `y` (`py < y_lo` flips true→false at most once, `py > y_hi`
+/// false→true at most once across the tile's rows), so the kept rows form
+/// one interval, and binary search **on those exact `f32` predicates**
+/// finds its endpoints; NaN bounds compare false everywhere and keep the
+/// full interval. Scattering survivors in staging order keeps each row's
+/// schedule slice in CSR depth order, and [`TileStage::row_iter`] computes
+/// the dy-dependent terms with the scalar kernel's association
+/// (`py - center_y`, `(c · dy) · dy`) from verbatim-staged fields — so the
+/// kernel composites the scalar kernel's admitted sequence with the scalar
+/// kernel's `f32` values.
 #[derive(Debug, Default)]
 pub(crate) struct TileStage {
     /// Splat center column, staged verbatim.
@@ -1074,7 +869,7 @@ pub(crate) struct TileStage {
     center_y: Vec<f32>,
     /// `conic.a`, staged verbatim.
     a: Vec<f32>,
-    /// `2.0 * conic.b` — same grouping as [`stage_row`], computed once.
+    /// `2.0 * conic.b` — the scalar kernel's grouping, computed once.
     b2: Vec<f32>,
     /// `conic.c`, staged verbatim (`c_dy2 = (c * dy) * dy` per row).
     c: Vec<f32>,
@@ -1142,16 +937,16 @@ impl TileStage {
         for &si in list {
             let s = &splats[si as usize];
             let cull = splat_cull(o, s);
-            // Same column test as `stage_row`, hoisted out of the row
-            // loop: NaN bounds compare false — never dropped.
+            // Column test against the tile's pixel-center span, hoisted out
+            // of the row loop: NaN bounds compare false — never dropped.
             if row_x_hi < cull.x_lo || row_x_lo > cull.x_hi {
                 culled += 1;
                 continue;
             }
-            // Partition points of the exact per-row predicates (see the
+            // Partition points of the exact row predicates (see the
             // type-level bit-identity note). `!(py > y_hi)` is NOT
             // `py <= y_hi`: a NaN bound must keep every row, exactly as
-            // the negated per-row skip test does.
+            // the negated row skip test does.
             let first = row_partition(ty_start, ty_end, |y| (y as f32 + 0.5) < cull.y_lo);
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             let end = row_partition(ty_start, ty_end, |y| !((y as f32 + 0.5) > cull.y_hi));
@@ -1209,10 +1004,10 @@ impl TileStage {
     /// (`gx_hi < x_lo || gx_lo > x_hi`, NaN bounds never skip) hoisted in
     /// front of the load of the other staged fields: a skipped splat
     /// produces no lane arithmetic either way, so filtering here is
-    /// invisible to the kernel. The dy-dependent terms use the per-row
-    /// path's exact association order (`py - center_y`, `(c · dy) · dy`
-    /// on verbatim-staged fields), so the surviving sequence carries the
-    /// same values [`stage_row`] pushes.
+    /// invisible to the kernel. The dy-dependent terms use the scalar
+    /// kernel's association order (`py - center_y`, `(c · dy) · dy` on
+    /// verbatim-staged fields), so the surviving sequence carries the same
+    /// `f32` values the scalar kernel computes.
     fn row_iter(
         &self,
         r: u32,
@@ -1276,10 +1071,8 @@ impl TileStage {
 /// counterpart of [`composite_pixel`], bit-identical to running it on each
 /// pixel.
 ///
-/// `row` is the row's depth-ordered [`RowSplat`] sequence: the buffer
-/// [`stage_row`] filled (per-row staging) or [`TileStage::row_iter`]'s
-/// lazy view of the per-tile schedule — both yield identical values, so
-/// the kernel cannot tell the staging paths apart.
+/// `row` is the row's depth-ordered [`RowSplat`] sequence —
+/// [`TileStage::row_iter`]'s lazy view of the per-tile schedule.
 ///
 /// Lane `i` is the pixel centered at `(px_x.lane(i), py)` for the row
 /// `row` was staged for. Per splat, the conic is evaluated for all four
@@ -1337,7 +1130,7 @@ fn composite_row4(
         let power = F32x4::splat(-0.5) * m;
 
         // Lanes provably below the admission threshold skip the exp — the
-        // only transcendental in the loop (see `splat_cull_data` for
+        // only transcendental in the loop (see `splat_cull` for
         // why this cannot disagree with scalar admission). Everything
         // around this block is straight-line lane arithmetic.
         let need = active & !power.lt(F32x4::splat(s.power_floor));
@@ -1445,6 +1238,17 @@ mod tests {
 
     fn cam(w: u32, h: u32) -> Camera {
         Camera::look_at(w, h, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero())
+    }
+
+    /// A one-shot frame restricted to the pixels where `mask` is true.
+    fn masked_frame(
+        r: &Renderer,
+        m: &GaussianModel,
+        camera: &Camera,
+        mask: &[bool],
+    ) -> RenderOutput {
+        r.render_with_arena(FrameRequest::masked(m, mask), camera, FrameArena::default())
+            .0
     }
 
     fn solid_model(points: &[(Vec3, Vec3, f32, Vec3)]) -> GaussianModel {
@@ -1662,29 +1466,6 @@ mod tests {
     }
 
     #[test]
-    fn render_filtered_excludes_points() {
-        let m = solid_model(&[
-            (
-                Vec3::zero(),
-                Vec3::splat(0.4),
-                0.95,
-                Vec3::new(1.0, 0.0, 0.0),
-            ),
-            (
-                Vec3::zero(),
-                Vec3::splat(0.4),
-                0.95,
-                Vec3::new(0.0, 1.0, 0.0),
-            ),
-        ]);
-        let r = Renderer::default();
-        let only_red = r.render_filtered(&m, &cam(64, 64), |i| i == 0);
-        let c = only_red.image.pixel(32, 32);
-        assert!(c.x > 0.5 && c.y < 0.1);
-        assert_eq!(only_red.stats.points_projected, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "degenerate camera")]
     fn zero_width_camera_rejected_at_entry() {
         // Regression: a zero-width camera used to reach CompositeStage's
@@ -1705,7 +1486,7 @@ mod tests {
             height: 0,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render_masked(&m, &camera, |_| true, &[]);
+        let _ = masked_frame(&Renderer::default(), &m, &camera, &[]);
     }
 
     #[test]
@@ -1722,14 +1503,14 @@ mod tests {
             height: 65536,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render_masked(&m, &camera, |_| true, &[]);
+        let _ = masked_frame(&Renderer::default(), &m, &camera, &[]);
     }
 
     #[test]
     #[should_panic(expected = "pixel mask size mismatch")]
     fn wrong_sized_mask_rejected() {
         let m = GaussianModel::new(0);
-        let _ = Renderer::default().render_masked(&m, &cam(64, 64), |_| true, &[true; 100]);
+        let _ = masked_frame(&Renderer::default(), &m, &cam(64, 64), &[true; 100]);
     }
 
     #[test]
@@ -1891,16 +1672,16 @@ mod tests {
         let m = divergent_model();
         let camera = cam(64, 48);
         let mask: Vec<bool> = (0..(64 * 48)).map(|i| i % 5 != 2 && i % 11 != 0).collect();
-        let scalar = Renderer::new(kernel_opts(RasterKernel::Scalar)).render_masked(
+        let scalar = masked_frame(
+            &Renderer::new(kernel_opts(RasterKernel::Scalar)),
             &m,
             &camera,
-            |_| true,
             &mask,
         );
-        let simd = Renderer::new(kernel_opts(RasterKernel::Simd4)).render_masked(
+        let simd = masked_frame(
+            &Renderer::new(kernel_opts(RasterKernel::Simd4)),
             &m,
             &camera,
-            |_| true,
             &mask,
         );
         assert_eq!(simd.image, scalar.image);

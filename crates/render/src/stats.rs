@@ -79,39 +79,31 @@ impl TileGridDims {
 /// [`FrameProfile::raster`](crate::FrameProfile).
 ///
 /// The SIMD raster path stages each tile's depth-sorted CSR list before
-/// compositing; these counters expose how much of that work the
-/// per-tile staging prepass ([`RasterStaging::PerTile`]) actually avoids
-/// relative to the per-row re-walk ([`RasterStaging::PerRow`]), so the
-/// win is observable in recorded benchmarks, not just timed:
+/// compositing; these counters expose how much work the per-tile staging
+/// prepass and its row-interval schedule avoid relative to re-walking the
+/// whole list on every tile row, so the win is observable in recorded
+/// benchmarks, not just timed:
 ///
-/// * With **per-tile staging**, `splats_staged`/`splats_culled` split each
-///   tile's CSR list by the admission-ellipse bbox cull, and
-///   `row_iterations` counts the (row, splat) pairs the row-interval
-///   scheduler actually iterated (Σ of staged splats' row-interval
-///   lengths).
-/// * With **per-row staging**, every row re-walks the whole tile list:
-///   `splats_staged` counts the full list once per tile, `splats_culled`
-///   stays 0, and `row_iterations` equals the re-walk cost
-///   `tile_rows × csr_len`.
-/// * `row_iteration_bound` is `tile_rows × csr_len` in both modes — the
-///   cost the per-row path pays by construction — so
-///   `row_iteration_bound / row_iterations` is the scheduler's measured
-///   saving factor.
+/// * `splats_staged`/`splats_culled` split each tile's CSR list by the
+///   admission-ellipse bbox cull;
+/// * `row_iterations` counts the (row, splat) pairs the row-interval
+///   schedule actually iterated (Σ of staged splats' row-interval
+///   lengths);
+/// * `row_iteration_bound` is `tile_rows × csr_len`, the cost of a
+///   per-row re-walk, so `row_iteration_bound / row_iterations` is the
+///   schedule's measured saving factor.
 ///
 /// The scalar kernel performs no staging and leaves every counter 0. For a
 /// fixed configuration the counters are bit-deterministic across thread
 /// counts, merged/unmerged schedules and solo/served execution (staging is
 /// per *tile*, which none of those axes change), but they legitimately
-/// differ between kernels and staging modes — which is why
+/// differ between kernels — which is why
 /// [`FrameProfile`](crate::FrameProfile) equality excludes them, like wall
 /// times.
-///
-/// [`RasterStaging::PerTile`]: crate::RasterStaging::PerTile
-/// [`RasterStaging::PerRow`]: crate::RasterStaging::PerRow
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RasterWork {
     /// Splats admitted to row scheduling after the per-tile cull, summed
-    /// over tiles (per-row staging admits the whole list).
+    /// over tiles.
     pub splats_staged: u64,
     /// Splats dropped by the per-tile admission-ellipse cull (empty row
     /// interval or no column overlap with the tile), summed over tiles.

@@ -5,8 +5,8 @@
 //! and high-opacity stacks that retire the four lanes of a group at
 //! different depths.
 //!
-//! The per-tile staging prepass (`RasterStaging::PerTile`) gets its own
-//! properties targeting the row-interval scheduler's edge cases: pancake
+//! The SIMD kernel's per-tile staging prepass gets its own properties
+//! targeting the row-interval scheduler's edge cases: pancake
 //! conics whose admission boxes clip to a single tile row, admission
 //! thresholds high enough to empty a splat's interval entirely, odd tile
 //! sizes (so the last row of edge tiles lands mid-interval), and merged
@@ -14,7 +14,9 @@
 //! rows against its own CSR list).
 
 use ms_math::{Conic2, Quat, TileRect, Vec2, Vec3};
-use ms_render::{Image, RasterKernel, RasterStaging, RenderOptions, RenderOutput, Renderer};
+use ms_render::{
+    FrameArena, FrameRequest, Image, RasterKernel, RenderOptions, RenderOutput, Renderer,
+};
 use ms_scene::{Camera, GaussianModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -232,15 +234,18 @@ proptest! {
                 (x + 2 * y) % mask_mod != 0
             })
             .collect();
-        let scalar = Renderer::new(options(RasterKernel::Scalar, 16, 1.0 / 255.0, 0.99, 1e-4))
-            .render_masked(&model, &cam, |_| true, &mask);
-        let simd = Renderer::new(options(RasterKernel::Simd4, 16, 1.0 / 255.0, 0.99, 1e-4))
-            .render_masked(&model, &cam, |_| true, &mask);
+        let masked = |kernel| {
+            Renderer::new(options(kernel, 16, 1.0 / 255.0, 0.99, 1e-4))
+                .render_with_arena(FrameRequest::masked(&model, &mask), &cam, FrameArena::default())
+                .0
+        };
+        let scalar = masked(RasterKernel::Scalar);
+        let simd = masked(RasterKernel::Simd4);
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
     #[test]
-    fn pertile_staging_matches_perrow_on_interval_edge_cases(
+    fn pertile_staging_matches_scalar_on_interval_edge_cases(
         seed in 0u64..1u64 << 48,
         n in 1usize..80,
         width in 13u32..70,
@@ -294,17 +299,13 @@ proptest! {
             })
             .collect();
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
-        let mk = |kernel, staging| {
-            Renderer::new(RenderOptions {
-                raster_staging: staging,
-                ..options(kernel, tile_size, alpha_min, 0.99, 1e-4)
-            })
+        let render = |kernel| {
+            Renderer::new(options(kernel, tile_size, alpha_min, 0.99, 1e-4))
+                .render_splats(n, &splats, &cam)
         };
-        let scalar = mk(RasterKernel::Scalar, RasterStaging::PerRow).render_splats(n, &splats, &cam);
-        let perrow = mk(RasterKernel::Simd4, RasterStaging::PerRow).render_splats(n, &splats, &cam);
-        let pertile = mk(RasterKernel::Simd4, RasterStaging::PerTile).render_splats(n, &splats, &cam);
-        assert_outputs_bit_identical(&perrow, &scalar)?;
-        assert_outputs_bit_identical(&pertile, &perrow)?;
+        let scalar = render(RasterKernel::Scalar);
+        let pertile = render(RasterKernel::Simd4);
+        assert_outputs_bit_identical(&pertile, &scalar)?;
     }
 
     #[test]
@@ -354,7 +355,6 @@ proptest! {
         .render(&model, &cam);
         let pertile_merged = Renderer::new(RenderOptions {
             raster_kernel: RasterKernel::Simd4,
-            raster_staging: RasterStaging::PerTile,
             tile_size: 7,
             track_point_stats: true,
             threads: 1,

@@ -135,7 +135,12 @@ pub fn decode_model_into(mut data: &[u8], into: &mut GaussianModel) -> Result<()
     into.opacities.clear();
     into.sh_coeffs.clear();
     let stride = into.sh_stride();
-    let need = n * (12 + 12 + 16 + 4 + stride * 4);
+    // `n` is untrusted: a wrapped product could pass the length check and
+    // reach the `reserve` calls below with an absurd count, which aborts
+    // the process instead of returning an error.
+    let need = n
+        .checked_mul(12 + 12 + 16 + 4 + stride * 4)
+        .ok_or(DecodeError::Truncated)?;
     if data.remaining() < need {
         return Err(DecodeError::Truncated);
     }
@@ -366,9 +371,9 @@ pub const DEFAULT_CHUNK_SPLATS: usize = 65_536;
 
 /// Resolve the chunk size: a non-zero `pinned` value wins, otherwise the
 /// `MS_CHUNK_SPLATS` environment variable, otherwise
-/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_RASTER_KERNEL` /
-/// `MS_RASTER_STAGING` seams in `ms_render`: tests and CI pin the chunk
-/// axis through the environment without plumbing a parameter everywhere.
+/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_RASTER_KERNEL` seam in
+/// `ms_render`: tests and CI pin the chunk axis through the environment
+/// without plumbing a parameter everywhere.
 ///
 /// # Panics
 ///
@@ -1233,6 +1238,26 @@ mod tests {
         ));
     }
 
+    /// A flat-checkpoint header for SH degree 0 declaring `n` points.
+    fn header(n: u64) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(16);
+        buf.put_u32_le(MAGIC);
+        buf.put_u16_le(VERSION);
+        buf.put_u16_le(0);
+        buf.put_u64_le(n);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn point_count_overflow_is_truncation_not_abort() {
+        // Regression: at SH degree 0 a point needs 56 bytes, so this count
+        // wraps `n * 56` to 8 — under the 64 payload bytes that follow —
+        // and the decoder used to reach `reserve(n)` and abort the process.
+        let mut bytes = header(u64::MAX / 56 + 1);
+        bytes.extend_from_slice(&[0u8; 64]);
+        assert_eq!(decode_model(&bytes).err(), Some(DecodeError::Truncated));
+    }
+
     #[test]
     fn empty_model_roundtrips() {
         let m = GaussianModel::new(2);
@@ -1673,6 +1698,93 @@ mod tests {
                 }
             }
             return Err("truncated container decoded every chunk".into());
+        }
+
+        /// Hostile bytes never panic or abort a decoder: arbitrary strings
+        /// (with the magic/version prefix half the time, so parsing gets
+        /// past the first check) and mutations of valid encodings — a
+        /// random byte flip plus a hostile header field — either fail with
+        /// `Err` or decode to exactly the input's canonical encoding. Both
+        /// the flat checkpoint and the chunked container, every chunk.
+        #[test]
+        fn hostile_bytes_are_errors_not_panics(
+            seed in 0u64..u64::MAX,
+            len in 0usize..160,
+            points in 0usize..40,
+            chunk in 1usize..16,
+            field in 0usize..3,
+        ) {
+            use rand::{Rng, RngCore, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let hostile_u64 = |rng: &mut rand::rngs::StdRng| -> u64 {
+                match rng.gen_range(0u32..4) {
+                    0 => u64::MAX,
+                    1 => u64::MAX / 56 + rng.gen_range(0u64..64),
+                    2 => 1 << rng.gen_range(32u32..63),
+                    _ => rng.next_u64(),
+                }
+            };
+
+            // Arbitrary bytes.
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
+            if rng.gen_bool(0.5) && bytes.len() >= 8 {
+                bytes[..4].copy_from_slice(&MAGIC.to_le_bytes());
+                bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+            }
+            if let Ok(m) = decode_model(&bytes) {
+                let canonical = encode_model(&m);
+                prop_assert!(bytes.starts_with(&canonical), "accepted non-canonical bytes");
+            }
+            if let Ok(src) = ChunkedFileSource::from_bytes(bytes.clone()) {
+                let mut buf = GaussianModel::default();
+                for i in 0..src.chunk_count() {
+                    let _ = src.load_chunk_into(i, &mut buf);
+                }
+            }
+
+            // Mutated valid encodings.
+            let m = if points == 0 {
+                GaussianModel::new(0)
+            } else {
+                generate(&SceneSpec {
+                    total_points: points,
+                    ..SceneSpec::default()
+                })
+                .unwrap()
+                .model
+            };
+            let mut flat = encode_model(&m).to_vec();
+            let at = rng.gen_range(0..flat.len());
+            flat[at] ^= 1 << rng.gen_range(0u32..8);
+            let hostile = hostile_u64(&mut rng);
+            if field == 0 {
+                flat[8..16].copy_from_slice(&hostile.to_le_bytes());
+            }
+            if let Ok(d) = decode_model(&flat) {
+                prop_assert!(flat.starts_with(&encode_model(&d)), "accepted non-canonical bytes");
+            }
+            let mut container = encode_model_chunked(&m, chunk).to_vec();
+            let at = rng.gen_range(0..container.len());
+            container[at] ^= 1 << rng.gen_range(0u32..8);
+            // A hostile chunk-table entry: byte length or point count.
+            let chunks =
+                u32::from_le_bytes([container[8], container[9], container[10], container[11]])
+                    as usize;
+            if field >= 1
+                && chunks > 0
+                && container.len() >= CHUNK_HEADER_BYTES + chunks * CHUNK_TABLE_ENTRY_BYTES
+            {
+                let entry = rng.gen_range(0..chunks);
+                let at = CHUNK_HEADER_BYTES + entry * CHUNK_TABLE_ENTRY_BYTES + (field - 1) * 8;
+                container[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            }
+            if let Ok(src) = ChunkedFileSource::from_bytes(container) {
+                let mut buf = GaussianModel::default();
+                for i in 0..src.chunk_count() {
+                    let _ = src.load_chunk_into(i, &mut buf);
+                    let _ = src.load_coarse_chunk_into(i, 3, &mut buf);
+                }
+            }
         }
 
         /// Random get/insert traffic: resident bytes never exceed the

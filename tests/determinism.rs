@@ -2,7 +2,8 @@
 //! a frame rendered with `threads = 1` (the serial reference) must be
 //! *bit-identical* — pixels, winner buffers and `FrameProfile` work
 //! counters — to the same frame rendered with any other worker count,
-//! including auto (`threads = 0`), on plain, masked and filtered renders.
+//! including auto (`threads = 0`), on plain, masked and prefiltered
+//! frames.
 //!
 //! Occupancy-driven tile merging (`RenderOptions::merge_threshold`) adds a
 //! second determinism axis: a *merged* render must be bit-identical in
@@ -11,24 +12,29 @@
 //! configuration must itself be bit-identical across all thread counts.
 //!
 //! Kernel selection (`RenderOptions::raster_kernel`) adds the third axis:
-//! the 4-lane SIMD compositing kernel must produce the same frame, bit for
-//! bit, as the scalar reference kernel — on plain, masked and filtered
-//! renders, at every worker count, merged or not.
+//! the 4-lane SIMD compositing kernel, fed by its per-tile staging prepass
+//! and row-interval schedule, must produce the same frame, bit for bit,
+//! as the scalar reference kernel — on plain, masked and prefiltered
+//! frames, at every worker count, merged or not — and its `RasterWork`
+//! counters must be deterministic for a fixed configuration (they are
+//! per-tile quantities, so neither the thread count nor the work-unit
+//! schedule may change them).
 //!
-//! Splat staging (`RenderOptions::raster_staging`) adds the fourth axis:
-//! the per-tile staging prepass + row-interval scheduler must push the
-//! SIMD kernel the exact splat sequences the per-row CSR re-walk would,
-//! so pixels, winners and blend steps are bit-identical between the two
-//! staging paths — across thread counts and merged/unmerged schedules —
-//! and the `RasterWork` counters themselves must be deterministic for a
-//! fixed configuration (they are per-tile quantities, so neither the
-//! thread count nor the work-unit schedule may change them).
+//! Scene chunking and the chunk cache add the fourth axis (see their
+//! sections below). Pixel masks are checked against the unmasked frame
+//! itself: a masked frame is the unmasked frame on its active pixels and
+//! background elsewhere, and the foveated renderer's image is the blend of
+//! unmasked per-level renders.
 
+use metasapiens::fov::{FoveatedModel, FoveatedRenderer, LevelParams};
+use metasapiens::hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
+use metasapiens::math::Vec3;
 use metasapiens::render::{
-    RasterKernel, RasterStaging, RenderOptions, RenderOutput, Renderer, StageKind,
+    project_model_filtered, FrameArena, FrameRequest, Image, RasterKernel, RenderOptions,
+    RenderOutput, Renderer, SceneRef, StageKind,
 };
 use metasapiens::scene::dataset::TraceId;
-use metasapiens::scene::{Camera, SceneSource};
+use metasapiens::scene::{Camera, GaussianModel, SceneSource};
 
 /// Worker counts the suite compares against the serial reference.
 const THREAD_COUNTS: [usize; 4] = [2, 3, 8, 0];
@@ -45,6 +51,40 @@ fn camera(s: &metasapiens::scene::synth::Scene) -> Camera {
         height: 120,
         ..s.train_cameras[0]
     }
+}
+
+/// A frame restricted to the pixels where `mask` is true.
+fn masked(r: &Renderer, model: &GaussianModel, cam: &Camera, mask: &[bool]) -> RenderOutput {
+    r.render_with_arena(
+        FrameRequest::masked(model, mask),
+        cam,
+        FrameArena::default(),
+    )
+    .0
+}
+
+/// A frame over the points `admit` keeps: projection evaluates the
+/// predicate (concurrently, on sharded point ranges) and the frame starts
+/// at Bin from the prefiltered splats.
+fn prefiltered(
+    r: &Renderer,
+    model: &GaussianModel,
+    cam: &Camera,
+    admit: impl Fn(usize) -> bool + Sync,
+) -> RenderOutput {
+    let splats = project_model_filtered(model, cam, r.options(), admit);
+    r.render_splats(model.len(), &splats, cam)
+}
+
+/// Left half plus a sparse checkerboard: masked-out gaps inside 4-pixel
+/// groups, fully inactive tiles and fully active ones.
+fn structured_mask(cam: &Camera) -> Vec<bool> {
+    (0..(cam.width * cam.height) as usize)
+        .map(|i| {
+            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
+            x < cam.width / 2 || (x + y) % 7 == 0
+        })
+        .collect()
 }
 
 fn opts(threads: usize) -> RenderOptions {
@@ -99,16 +139,10 @@ fn parallel_render_is_bit_identical_to_serial() {
 fn masked_parallel_render_is_bit_identical_to_serial() {
     let s = scene();
     let cam = camera(&s);
-    // A mask with structure: left half plus a sparse checkerboard.
-    let mask: Vec<bool> = (0..(cam.width * cam.height) as usize)
-        .map(|i| {
-            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
-            x < cam.width / 2 || (x + y) % 7 == 0
-        })
-        .collect();
-    let serial = Renderer::new(opts(1)).render_masked(&s.model, &cam, |_| true, &mask);
+    let mask = structured_mask(&cam);
+    let serial = masked(&Renderer::new(opts(1)), &s.model, &cam, &mask);
     for threads in THREAD_COUNTS {
-        let par = Renderer::new(opts(threads)).render_masked(&s.model, &cam, |_| true, &mask);
+        let par = masked(&Renderer::new(opts(threads)), &s.model, &cam, &mask);
         assert_bit_identical(&par, &serial, threads);
     }
 }
@@ -121,9 +155,9 @@ fn filtered_parallel_render_is_bit_identical_to_serial() {
     let s = scene();
     let cam = camera(&s);
     let admit = |i: usize| i % 3 != 1;
-    let serial = Renderer::new(opts(1)).render_filtered(&s.model, &cam, admit);
+    let serial = prefiltered(&Renderer::new(opts(1)), &s.model, &cam, admit);
     for threads in THREAD_COUNTS {
-        let par = Renderer::new(opts(threads)).render_filtered(&s.model, &cam, admit);
+        let par = prefiltered(&Renderer::new(opts(threads)), &s.model, &cam, admit);
         assert_bit_identical(&par, &serial, threads);
     }
 }
@@ -243,18 +277,12 @@ fn merged_render_is_bit_identical_to_unmerged_across_threads() {
 fn merged_masked_render_is_bit_identical_to_unmerged_across_threads() {
     let s = scene();
     let cam = foveal_camera();
-    let mask: Vec<bool> = (0..(cam.width * cam.height) as usize)
-        .map(|i| {
-            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
-            x < cam.width / 2 || (x + y) % 7 == 0
-        })
-        .collect();
-    let unmerged = Renderer::new(opts(1)).render_masked(&s.model, &cam, |_| true, &mask);
-    let merged_serial = Renderer::new(merge_opts(1)).render_masked(&s.model, &cam, |_| true, &mask);
+    let mask = structured_mask(&cam);
+    let unmerged = masked(&Renderer::new(opts(1)), &s.model, &cam, &mask);
+    let merged_serial = masked(&Renderer::new(merge_opts(1)), &s.model, &cam, &mask);
     assert_same_frame(&merged_serial, &unmerged, "masked, threads=1");
     for threads in THREAD_COUNTS {
-        let merged =
-            Renderer::new(merge_opts(threads)).render_masked(&s.model, &cam, |_| true, &mask);
+        let merged = masked(&Renderer::new(merge_opts(threads)), &s.model, &cam, &mask);
         assert_bit_identical(&merged, &merged_serial, threads);
         assert_same_frame(&merged, &unmerged, "masked");
     }
@@ -265,11 +293,11 @@ fn merged_filtered_render_is_bit_identical_to_unmerged_across_threads() {
     let s = scene();
     let cam = foveal_camera();
     let admit = |i: usize| i % 3 != 1;
-    let unmerged = Renderer::new(opts(1)).render_filtered(&s.model, &cam, admit);
-    let merged_serial = Renderer::new(merge_opts(1)).render_filtered(&s.model, &cam, admit);
+    let unmerged = prefiltered(&Renderer::new(opts(1)), &s.model, &cam, admit);
+    let merged_serial = prefiltered(&Renderer::new(merge_opts(1)), &s.model, &cam, admit);
     assert_same_frame(&merged_serial, &unmerged, "filtered, threads=1");
     for threads in THREAD_COUNTS {
-        let merged = Renderer::new(merge_opts(threads)).render_filtered(&s.model, &cam, admit);
+        let merged = prefiltered(&Renderer::new(merge_opts(threads)), &s.model, &cam, admit);
         assert_bit_identical(&merged, &merged_serial, threads);
         assert_same_frame(&merged, &unmerged, "filtered");
     }
@@ -301,26 +329,16 @@ fn simd_kernel_is_bit_identical_to_scalar_across_threads() {
 fn simd_kernel_masked_and_filtered_match_scalar() {
     let s = scene();
     let cam = camera(&s);
-    let mask: Vec<bool> = (0..(cam.width * cam.height) as usize)
-        .map(|i| {
-            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
-            x < cam.width / 2 || (x + y) % 7 == 0
-        })
-        .collect();
+    let mask = structured_mask(&cam);
     let admit = |i: usize| i % 3 != 1;
-    let scalar_masked = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render_masked(
-        &s.model,
-        &cam,
-        |_| true,
-        &mask,
-    );
-    let scalar_filtered =
-        Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render_filtered(&s.model, &cam, admit);
+    let scalar = Renderer::new(kernel_opts(1, RasterKernel::Scalar));
+    let scalar_masked = masked(&scalar, &s.model, &cam, &mask);
+    let scalar_filtered = prefiltered(&scalar, &s.model, &cam, admit);
     for threads in [1, 3] {
-        let o = kernel_opts(threads, RasterKernel::Simd4);
-        let masked = Renderer::new(o.clone()).render_masked(&s.model, &cam, |_| true, &mask);
-        assert_bit_identical(&masked, &scalar_masked, threads);
-        let filtered = Renderer::new(o).render_filtered(&s.model, &cam, admit);
+        let simd = Renderer::new(kernel_opts(threads, RasterKernel::Simd4));
+        let simd_masked = masked(&simd, &s.model, &cam, &mask);
+        assert_bit_identical(&simd_masked, &scalar_masked, threads);
+        let filtered = prefiltered(&simd, &s.model, &cam, admit);
         assert_bit_identical(&filtered, &scalar_filtered, threads);
     }
 }
@@ -354,67 +372,60 @@ fn merged_simd_kernel_matches_unmerged_scalar_across_threads() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Splat staging: the fourth determinism axis
-// ---------------------------------------------------------------------------
-
-fn staging_opts(threads: usize, staging: RasterStaging) -> RenderOptions {
-    RenderOptions {
-        raster_kernel: RasterKernel::Simd4,
-        raster_staging: staging,
-        ..opts(threads)
-    }
-}
-
 #[test]
-fn pertile_staging_is_bit_identical_to_perrow_across_threads() {
-    let s = scene();
-    let cam = camera(&s);
-    let perrow = Renderer::new(staging_opts(1, RasterStaging::PerRow)).render(&s.model, &cam);
-    for threads in [1, 2, 3, 8, 0] {
-        let pertile =
-            Renderer::new(staging_opts(threads, RasterStaging::PerTile)).render(&s.model, &cam);
-        assert_bit_identical(&pertile, &perrow, threads);
-    }
-}
-
-#[test]
-fn pertile_staging_masked_and_merged_match_perrow() {
+fn pertile_staging_is_bit_identical_to_scalar_across_threads() {
+    // The pulled-back view leaves sparse peripheral tiles whose lists hold
+    // splats that only graze the tile, so the per-tile admission cull
+    // actually drops splats; what stays must still composite exactly as
+    // the scalar kernel's full list walk does.
     let s = scene();
     let cam = foveal_camera();
-    let mask: Vec<bool> = (0..(cam.width * cam.height) as usize)
-        .map(|i| {
-            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
-            x < cam.width / 2 || (x + y) % 7 == 0
-        })
-        .collect();
-    let perrow_masked = Renderer::new(staging_opts(1, RasterStaging::PerRow)).render_masked(
+    let scalar = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render(&s.model, &cam);
+    for threads in [1, 2, 3, 8, 0] {
+        let simd = Renderer::new(kernel_opts(threads, RasterKernel::Simd4)).render(&s.model, &cam);
+        let work = simd.stats.profile.raster;
+        assert!(
+            work.splats_staged > 0 && work.splats_culled > 0,
+            "staging must both admit and cull splats at threads={threads}: {work:?}"
+        );
+        assert_bit_identical(&simd, &scalar, threads);
+    }
+}
+
+#[test]
+fn pertile_staging_masked_and_merged_match_scalar() {
+    // The SIMD kernel's per-tile staging under the two schedule shapes
+    // that stress it — masked-out gaps inside 4-pixel groups and merged
+    // super-tiles whose tiles each stage their own rows — against the
+    // scalar kernel, which stages nothing.
+    let s = scene();
+    let cam = foveal_camera();
+    let mask = structured_mask(&cam);
+    let scalar_masked = masked(
+        &Renderer::new(kernel_opts(1, RasterKernel::Scalar)),
         &s.model,
         &cam,
-        |_| true,
         &mask,
     );
-    let perrow_merged = Renderer::new(RenderOptions {
-        raster_staging: RasterStaging::PerRow,
-        raster_kernel: RasterKernel::Simd4,
+    let scalar_merged = Renderer::new(RenderOptions {
+        raster_kernel: RasterKernel::Scalar,
         ..merge_opts(1)
     })
     .render(&s.model, &cam);
     for threads in [1, 3] {
-        let masked = Renderer::new(staging_opts(threads, RasterStaging::PerTile)).render_masked(
+        let simd_masked = masked(
+            &Renderer::new(kernel_opts(threads, RasterKernel::Simd4)),
             &s.model,
             &cam,
-            |_| true,
             &mask,
         );
-        assert_bit_identical(&masked, &perrow_masked, threads);
-        let merged = Renderer::new(RenderOptions {
-            raster_staging: RasterStaging::PerTile,
+        assert_bit_identical(&simd_masked, &scalar_masked, threads);
+        let simd_merged = Renderer::new(RenderOptions {
             raster_kernel: RasterKernel::Simd4,
             ..merge_opts(threads)
         })
         .render(&s.model, &cam);
-        assert_bit_identical(&merged, &perrow_merged, threads);
+        assert_bit_identical(&simd_merged, &scalar_merged, threads);
     }
 }
 
@@ -423,9 +434,9 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
     let s = scene();
     let cam = camera(&s);
 
-    // Per-tile staging: counters are per-tile quantities, so they must not
+    // SIMD staging: counters are per-tile quantities, so they must not
     // depend on the thread count or the work-unit schedule.
-    let reference = Renderer::new(staging_opts(1, RasterStaging::PerTile)).render(&s.model, &cam);
+    let reference = Renderer::new(kernel_opts(1, RasterKernel::Simd4)).render(&s.model, &cam);
     let work = reference.stats.profile.raster;
     assert!(work.splats_staged > 0, "dense trace must stage splats");
     assert!(
@@ -436,31 +447,21 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
         work.row_iteration_bound
     );
     for threads in THREAD_COUNTS {
-        let par =
-            Renderer::new(staging_opts(threads, RasterStaging::PerTile)).render(&s.model, &cam);
+        let par = Renderer::new(kernel_opts(threads, RasterKernel::Simd4)).render(&s.model, &cam);
         assert_eq!(
             par.stats.profile.raster, work,
-            "per-tile RasterWork differs at threads={threads}"
+            "RasterWork differs at threads={threads}"
         );
     }
     let merged = Renderer::new(RenderOptions {
-        raster_staging: RasterStaging::PerTile,
         raster_kernel: RasterKernel::Simd4,
         ..merge_opts(3)
     })
     .render(&s.model, &cam);
     assert_eq!(
         merged.stats.profile.raster, work,
-        "per-tile RasterWork differs under tile merging"
+        "RasterWork differs under tile merging"
     );
-
-    // Per-row staging: every tile row re-walks the full CSR list, so the
-    // iteration count *is* the bound and nothing is culled up front.
-    let perrow = Renderer::new(staging_opts(1, RasterStaging::PerRow)).render(&s.model, &cam);
-    let perrow_work = perrow.stats.profile.raster;
-    assert_eq!(perrow_work.row_iterations, perrow_work.row_iteration_bound);
-    assert_eq!(perrow_work.splats_culled, 0);
-    assert_eq!(perrow_work.row_iteration_bound, work.row_iteration_bound);
 
     // Scalar kernel: no staging runs at all — counters stay zero.
     let scalar = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render(&s.model, &cam);
@@ -471,12 +472,12 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-core chunking: the fifth determinism axis
+// Out-of-core chunking: the fourth determinism axis
 // ---------------------------------------------------------------------------
 //
 // With LOD off, a chunked render must be bit-identical — pixels, winners,
 // work counters — to the in-core render of the concatenated chunks, for
-// every chunk size, across the other four axes. Chunk sizes here are
+// every chunk size, across the other axes. Chunk sizes here are
 // deliberately ragged (odd primes, not tile-aligned), so chunk boundaries
 // split tile lists mid-stream.
 
@@ -509,30 +510,54 @@ fn chunked_render_is_bit_identical_to_in_core_across_threads() {
 
 #[test]
 fn chunked_render_matches_in_core_across_merging_kernels_and_staging() {
-    // The chunk axis crossed with the other three: merged/unmerged ×
-    // scalar/simd4 × perrow/pertile, chunked vs in-core per configuration.
+    // The chunk axis crossed with the others: merged/unmerged × scalar and
+    // simd4 (whose per-tile staging runs over the chunk-built bins),
+    // chunked vs in-core per configuration.
     let s = scene();
     let cam = foveal_camera();
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
     for merge in [false, true] {
         for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-            for staging in [RasterStaging::PerRow, RasterStaging::PerTile] {
-                let o = RenderOptions {
-                    raster_kernel: kernel,
-                    raster_staging: staging,
-                    ..if merge { merge_opts(3) } else { opts(3) }
-                };
-                let renderer = Renderer::new(o);
-                let in_core = renderer.render(&s.model, &cam);
-                let chunked = renderer.render_source(&source, &cam);
-                assert_bit_identical(&chunked, &in_core, 3);
-                assert_eq!(
-                    chunked.stats.profile, in_core.stats.profile,
-                    "profile differs (merge={merge}, {kernel:?}, {staging:?})"
-                );
-            }
+            let o = RenderOptions {
+                raster_kernel: kernel,
+                ..if merge { merge_opts(3) } else { opts(3) }
+            };
+            let renderer = Renderer::new(o);
+            let in_core = renderer.render(&s.model, &cam);
+            let chunked = renderer.render_source(&source, &cam);
+            assert_bit_identical(&chunked, &in_core, 3);
+            assert_eq!(
+                chunked.stats.profile, in_core.stats.profile,
+                "profile differs (merge={merge}, {kernel:?})"
+            );
+            assert_eq!(
+                chunked.stats.profile.raster, in_core.stats.profile.raster,
+                "RasterWork differs (merge={merge}, {kernel:?})"
+            );
         }
+    }
+}
+
+#[test]
+fn masked_chunked_render_matches_masked_in_core() {
+    // A pixel mask filters the streamed Bin's tiles exactly like the
+    // in-core Bin's: the masked chunked frame is the masked in-core frame.
+    let s = scene();
+    let cam = camera(&s);
+    let mask = structured_mask(&cam);
+    let source =
+        metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_sizes(s.model.len())[0]);
+    for threads in [1, 3] {
+        let renderer = Renderer::new(opts(threads));
+        let in_core = masked(&renderer, &s.model, &cam, &mask);
+        let (chunked, _) = renderer.render_with_arena(
+            FrameRequest::masked(SceneRef::Chunked(&source), &mask),
+            &cam,
+            FrameArena::default(),
+        );
+        assert_bit_identical(&chunked, &in_core, threads);
+        assert_eq!(chunked.stats.profile, in_core.stats.profile);
     }
 }
 
@@ -593,7 +618,7 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk cache: the sixth determinism axis
+// Chunk cache: the chunked axis's budget dimension
 // ---------------------------------------------------------------------------
 //
 // The cross-frame chunk cache must change *where* chunk bytes come from,
@@ -643,32 +668,29 @@ fn cached_chunked_render_is_bit_identical_across_budgets() {
 
 #[test]
 fn cached_chunked_render_matches_across_kernels_and_staging() {
-    // The cache axis crossed with kernel and staging selection, warm and
-    // cold: per configuration, in-core, cold-cache chunked and warm-cache
-    // chunked must all be the same frame.
+    // The cache axis crossed with kernel selection (and so with the SIMD
+    // kernel's staging), warm and cold: per configuration, in-core,
+    // cold-cache chunked and warm-cache chunked must all be the same frame.
     let s = scene();
     let cam = foveal_camera();
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
     for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-        for staging in [RasterStaging::PerRow, RasterStaging::PerTile] {
-            let o = RenderOptions {
-                raster_kernel: kernel,
-                raster_staging: staging,
-                cache_budget_bytes: Some(usize::MAX),
-                ..opts(3)
-            };
-            let renderer = Renderer::new(o);
-            let in_core = renderer.render(&s.model, &cam);
-            let cold = renderer.render_source(&source, &cam);
-            let warm = renderer.render_source(&source, &cam);
-            assert_bit_identical(&cold, &in_core, 3);
-            assert_bit_identical(&warm, &in_core, 3);
-            assert_eq!(
-                warm.stats.profile, in_core.stats.profile,
-                "profile differs ({kernel:?}, {staging:?})"
-            );
-        }
+        let o = RenderOptions {
+            raster_kernel: kernel,
+            cache_budget_bytes: Some(usize::MAX),
+            ..opts(3)
+        };
+        let renderer = Renderer::new(o);
+        let in_core = renderer.render(&s.model, &cam);
+        let cold = renderer.render_source(&source, &cam);
+        let warm = renderer.render_source(&source, &cam);
+        assert_bit_identical(&cold, &in_core, 3);
+        assert_bit_identical(&warm, &in_core, 3);
+        assert_eq!(
+            warm.stats.profile, in_core.stats.profile,
+            "profile differs ({kernel:?})"
+        );
     }
 }
 
@@ -730,4 +752,175 @@ fn merging_reduces_work_units_and_imbalance() {
         post < pre,
         "per-unit imbalance {post} must undercut per-tile {pre}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Pixel masks: checked against the unmasked frame
+// ---------------------------------------------------------------------------
+//
+// Masked frames are compared with unmasked `render` calls, not with other
+// masked frames, across threads × kernels × merging: a mask only decides
+// which pixels are computed, never what an active pixel computes.
+
+/// Whether two colors are the same `f32` bits (`-0.0 != 0.0`, NaN payloads
+/// compared too).
+fn same_bits(a: Vec3, b: Vec3) -> bool {
+    a.x.to_bits() == b.x.to_bits()
+        && a.y.to_bits() == b.y.to_bits()
+        && a.z.to_bits() == b.z.to_bits()
+}
+
+/// Options of one cell of the mask sweep: `threads` × `kernel` × merging,
+/// with a non-black background so "background elsewhere" is observable.
+fn mask_sweep_opts(threads: usize, kernel: RasterKernel, merge: bool) -> RenderOptions {
+    RenderOptions {
+        raster_kernel: kernel,
+        background: Vec3::new(0.25, 0.5, 0.75),
+        ..if merge {
+            merge_opts(threads)
+        } else {
+            opts(threads)
+        }
+    }
+}
+
+/// Every cell of the mask sweep.
+fn mask_sweep() -> Vec<(usize, RasterKernel, bool)> {
+    let mut cells = Vec::new();
+    for threads in [1, 3] {
+        for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
+            for merge in [false, true] {
+                cells.push((threads, kernel, merge));
+            }
+        }
+    }
+    cells
+}
+
+#[test]
+fn masked_frame_equals_unmasked_render_on_active_pixels() {
+    let s = scene();
+    let cam = foveal_camera();
+    // The structured mask with its bottom-right quadrant cleared, so some
+    // tiles hold no active pixel at all and are skipped at Bin.
+    let mask: Vec<bool> = structured_mask(&cam)
+        .into_iter()
+        .enumerate()
+        .map(|(i, active)| {
+            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
+            active && !(x >= cam.width / 2 && y >= cam.height / 2)
+        })
+        .collect();
+    for (threads, kernel, merge) in mask_sweep() {
+        let o = mask_sweep_opts(threads, kernel, merge);
+        let background = o.background;
+        let renderer = Renderer::new(o);
+        let full = renderer.render(&s.model, &cam);
+        let part = masked(&renderer, &s.model, &cam, &mask);
+        let label = format!("threads={threads}, {kernel:?}, merge={merge}");
+        for (i, &active) in mask.iter().enumerate() {
+            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
+            let (got, want) = (part.image.pixel(x, y), full.image.pixel(x, y));
+            if active {
+                assert!(
+                    same_bits(got, want),
+                    "active pixel ({x}, {y}) differs ({label}): {got:?} vs {want:?}"
+                );
+                assert_eq!(part.winners[i], full.winners[i], "winner {i} ({label})");
+            } else {
+                assert!(
+                    same_bits(got, background),
+                    "masked-out pixel ({x}, {y}) is not background ({label})"
+                );
+                assert_eq!(part.winners[i], u32::MAX, "winner {i} ({label})");
+            }
+        }
+        // Masking skips work: inactive tiles are never binned.
+        assert!(part.stats.total_intersections < full.stats.total_intersections);
+    }
+}
+
+/// A foveated model over the kitchen scene whose levels genuinely differ:
+/// point `i` survives up to level `i % levels`, and each level dims
+/// opacity and shifts the DC color.
+fn foveated_model(model: &GaussianModel) -> FoveatedModel {
+    let regions = QualityRegions::paper_default();
+    let levels = regions.level_count();
+    let n = model.len();
+    let params = (1..levels)
+        .map(|l| LevelParams {
+            opacity: model
+                .opacities
+                .iter()
+                .map(|&o| o * (1.0 - 0.15 * l as f32))
+                .collect(),
+            dc: (0..n)
+                .map(|i| {
+                    let sh = model.sh(i);
+                    [sh[0] + 0.1 * l as f32, sh[1], sh[2] - 0.1 * l as f32]
+                })
+                .collect(),
+        })
+        .collect();
+    let bounds = (0..n).map(|i| (i % levels) as u8).collect();
+    FoveatedModel::new(model.clone(), bounds, params, regions)
+}
+
+#[test]
+fn foveated_render_equals_blend_of_unmasked_level_renders() {
+    let s = scene();
+    // A wide VR-like field of view so every eccentricity region (and every
+    // blend band between them) is on screen.
+    let cam = Camera {
+        width: 128,
+        height: 96,
+        fovy: metasapiens::math::deg_to_rad(74.0),
+        ..s.train_cameras[0]
+    };
+    let fm = foveated_model(&s.model);
+    let gaze = metasapiens::math::Vec2::new(50.0, 40.0);
+    let display = DisplayGeometry::new(
+        cam.width,
+        cam.height,
+        metasapiens::math::rad_to_deg(cam.fovx()),
+    );
+    let ecc = EccentricityMap::new(display, gaze);
+    let regions = fm.regions();
+    let levels = fm.level_count();
+    for (threads, kernel, merge) in mask_sweep() {
+        let o = mask_sweep_opts(threads, kernel, merge);
+        let fov = FoveatedRenderer::new(o.clone()).render(&fm, &cam, Some(gaze));
+        let renderer = Renderer::new(o);
+        let level_images: Vec<Image> = (0..levels)
+            .map(|l| renderer.render(fm.level_model(l), &cam).image)
+            .collect();
+        let label = format!("threads={threads}, {kernel:?}, merge={merge}");
+        let mut levels_seen = vec![false; levels];
+        let mut blended = 0usize;
+        for y in 0..cam.height {
+            for x in 0..cam.width {
+                let (l, w) = regions.blend_toward_next(ecc.at(x, y));
+                levels_seen[l] = true;
+                let want = if w > 0.0 && l + 1 < levels {
+                    blended += 1;
+                    level_images[l]
+                        .pixel(x, y)
+                        .lerp(level_images[l + 1].pixel(x, y), w)
+                } else {
+                    level_images[l].pixel(x, y)
+                };
+                let got = fov.image.pixel(x, y);
+                assert!(
+                    same_bits(got, want),
+                    "foveated pixel ({x}, {y}) differs ({label}): {got:?} vs {want:?}"
+                );
+            }
+        }
+        assert!(
+            levels_seen.iter().all(|&seen| seen),
+            "every level must own pixels ({label})"
+        );
+        assert!(blended > 0, "blend bands must be on screen ({label})");
+        assert_eq!(fov.blended_pixels, blended, "{label}");
+    }
 }
