@@ -104,7 +104,7 @@ fn main() {
         let mse_l4: f32 = cams
             .iter()
             .zip(refs)
-            .map(|(c, r)| renderer.render(model.level_model(3), c).image.mse(r))
+            .map(|(c, r)| renderer.render(&model.level_model(3), c).image.mse(r))
             .sum::<f32>()
             / cams.len() as f32;
         rows.push(vec![

@@ -10,10 +10,10 @@
 //!   overhead of evaluating every model and nearly 2× storage.
 
 use crate::model::{FoveatedModel, LevelParams};
-use crate::render::{FovRenderOutput, FoveatedRenderer, ProjectionSharing};
+use crate::render::{FovRenderOutput, FoveatedRenderer};
 use ms_hvs::QualityRegions;
 use ms_math::Vec2;
-use ms_render::Image;
+use ms_render::{FrameRequest, Image};
 use ms_scene::{Camera, GaussianModel};
 use ms_train::ce::{compute_ce, CeOptions};
 use ms_train::finetune::{FineTuneConfig, FineTuner};
@@ -57,16 +57,7 @@ pub fn build_smfr(
     }
 
     // No multi-versioning: every level reads the base parameters.
-    let base_params = LevelParams {
-        opacity: l1.opacities.clone(),
-        dc: (0..n)
-            .map(|i| {
-                let sh = l1.sh(i);
-                [sh[0], sh[1], sh[2]]
-            })
-            .collect(),
-    };
-    let level_params = vec![base_params; levels - 1];
+    let level_params = vec![LevelParams::from_level(l1, l1, &[]); levels - 1];
     FoveatedModel::new(l1.clone(), quality_bound, level_params, regions)
 }
 
@@ -125,18 +116,6 @@ pub fn build_mmfr(
     MultiModelFr { models, regions }
 }
 
-/// Render an SMFR/our-style [`FoveatedModel`] — identical to
-/// [`FoveatedRenderer::render`]; provided for symmetry with
-/// [`render_mmfr`].
-pub fn render_subsetting(
-    renderer: &FoveatedRenderer,
-    model: &FoveatedModel,
-    camera: &Camera,
-    gaze: Option<Vec2>,
-) -> FovRenderOutput {
-    renderer.render(model, camera, gaze)
-}
-
 /// Render an MMFR model. Projection cost is accounted **per level** — every
 /// independent model must run Projection and Filtering (§4.1, Challenge 1).
 pub fn render_mmfr(
@@ -145,14 +124,15 @@ pub fn render_mmfr(
     camera: &Camera,
     gaze: Option<Vec2>,
 ) -> FovRenderOutput {
-    let level_models: Vec<&GaussianModel> = model.models.iter().collect();
-    renderer.render_levels(
-        &level_models,
-        &model.regions,
-        camera,
-        gaze,
-        ProjectionSharing::PerLevel,
-    )
+    assert_eq!(
+        model.models.len(),
+        model.regions.level_count(),
+        "one model per quality region required"
+    );
+    renderer.render_levels(&model.regions, camera, gaze, |l, mask, arena| {
+        let request = FrameRequest::masked(&model.models[l], mask);
+        renderer.renderer.render_with_arena(request, camera, arena)
+    })
 }
 
 #[cfg(test)]
@@ -255,7 +235,7 @@ mod tests {
         let smfr = build_smfr(&l1, regions, &FRACTIONS, 3);
         let fr = FoveatedRenderer::default();
         let out_mm = render_mmfr(&fr, &mmfr, &cams[0], None);
-        let out_sm = render_subsetting(&fr, &smfr, &cams[0], None);
+        let out_sm = fr.render(&smfr, &cams[0], None);
         assert!(
             out_mm.stats.points_submitted > out_sm.stats.points_submitted,
             "MMFR must project every level's model: {} vs {}",

@@ -128,23 +128,7 @@ pub fn build_foveated(
             tuner.run(&mut next_model, cameras, references);
         }
 
-        // Record full-length parameter vectors for this level (entries for
-        // non-member points default to the base values — they are never
-        // read because the quality bound excludes those points).
-        let mut opacity: Vec<f32> = l1.opacities.clone();
-        let mut dc: Vec<[f32; 3]> = (0..n)
-            .map(|i| {
-                let sh = l1.sh(i);
-                [sh[0], sh[1], sh[2]]
-            })
-            .collect();
-        let stride = next_model.sh_stride();
-        for (local, &bi) in next_base_indices.iter().enumerate() {
-            opacity[bi] = next_model.opacities[local];
-            let sh = &next_model.sh_coeffs[local * stride..local * stride + 3];
-            dc[bi] = [sh[0], sh[1], sh[2]];
-        }
-        level_params.push(LevelParams { opacity, dc });
+        level_params.push(LevelParams::from_level(l1, &next_model, &next_base_indices));
 
         current_model = next_model;
         current_base_indices = next_base_indices;
@@ -251,20 +235,11 @@ pub fn build_foveated_hvsq(
         for &bi in &accepted_indices {
             quality_bound[bi] = l as u8;
         }
-        let mut opacity: Vec<f32> = l1.opacities.clone();
-        let mut dc: Vec<[f32; 3]> = (0..n)
-            .map(|i| {
-                let sh = l1.sh(i);
-                [sh[0], sh[1], sh[2]]
-            })
-            .collect();
-        let stride = accepted_model.sh_stride();
-        for (local, &bi) in accepted_indices.iter().enumerate() {
-            opacity[bi] = accepted_model.opacities[local];
-            let sh = &accepted_model.sh_coeffs[local * stride..local * stride + 3];
-            dc[bi] = [sh[0], sh[1], sh[2]];
-        }
-        level_params.push(LevelParams { opacity, dc });
+        level_params.push(LevelParams::from_level(
+            l1,
+            &accepted_model,
+            &accepted_indices,
+        ));
         current_model = accepted_model;
         current_base_indices = accepted_indices;
     }
@@ -335,10 +310,8 @@ mod tests {
         };
         let fr = build_foveated(&l1, &cams, &refs, &config);
         for l in 0..fr.level_count() - 1 {
-            let upper: std::collections::HashSet<u32> =
-                fr.level_index_map(l).iter().copied().collect();
-            for &i in fr.level_index_map(l + 1) {
-                assert!(upper.contains(&i));
+            for i in 0..fr.base().len() {
+                assert!(fr.level_point(l + 1, i).is_none() || fr.level_point(l, i).is_some());
             }
         }
     }
@@ -372,11 +345,11 @@ mod tests {
         // better than the un-tuned subset (multi-versioning at work).
         let renderer = Renderer::default();
         let mse_plain = renderer
-            .render(plain.level_model(3), &cams[0])
+            .render(&plain.level_model(3), &cams[0])
             .image
             .mse(&refs[0]);
         let mse_tuned = renderer
-            .render(tuned.level_model(3), &cams[0])
+            .render(&tuned.level_model(3), &cams[0])
             .image
             .mse(&refs[0]);
         assert!(

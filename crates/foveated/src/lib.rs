@@ -5,17 +5,19 @@
 //! The crate provides:
 //!
 //! * [`FoveatedModel`] — the paper's data representation: a hierarchy of
-//!   models where the points of level `ℓ+1` are a **strict subset** of level
+//!   levels where the points of level `ℓ+1` are a **subset** of level
 //!   `ℓ`'s points (quality bounds, Fig. 7-C), with **selective
 //!   multi-versioning** of exactly two parameter groups — Opacity and the
-//!   SH DC color — per level (Fig. 7-D). Total point storage equals the L1
-//!   model's; the multi-versioned parameters add only a few percent.
+//!   SH DC color — per level (Fig. 7-D). Levels are views over the base,
+//!   not copies: total point storage equals the L1 model's; the
+//!   multi-versioned parameters add only a few percent.
 //! * [`build_foveated`] — the §4.3 training procedure: each level is pruned
 //!   from its predecessor by Computational Efficiency and its
 //!   multi-versioned parameters are fine-tuned (no scale decay: scales are
 //!   shared across levels).
-//! * [`FoveatedRenderer`] — the augmented pipeline of Fig. 7-E: per-level
-//!   point filtering, region-masked rasterization and boundary blending.
+//! * [`FoveatedRenderer`] — the augmented pipeline of Fig. 7-E: one shared
+//!   projection per frame, per-level point filtering, region-masked
+//!   rasterization and boundary blending.
 //! * [`baselines`] — the two FR baselines of §7.4: SMFR (strict subsetting
 //!   by random sampling, no multi-versioning) and MMFR (fully independent
 //!   per-level models, no subsetting).

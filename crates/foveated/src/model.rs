@@ -20,11 +20,40 @@ pub struct LevelParams {
     pub dc: Vec<[f32; 3]>,
 }
 
+impl LevelParams {
+    /// The overrides making `level` (the points `base_indices` of `base`, in
+    /// order) a level over `base`; other entries keep the base values.
+    pub(crate) fn from_level(
+        base: &GaussianModel,
+        level: &GaussianModel,
+        base_indices: &[usize],
+    ) -> Self {
+        let mut params = Self {
+            opacity: base.opacities.clone(),
+            dc: (0..base.len()).map(|i| sh_dc(base, i)).collect(),
+        };
+        for (j, &i) in base_indices.iter().enumerate() {
+            params.opacity[i] = level.opacities[j];
+            params.dc[i] = sh_dc(level, j);
+        }
+        params
+    }
+}
+
+/// The SH DC coefficients (RGB) of point `i`.
+fn sh_dc(model: &GaussianModel, i: usize) -> [f32; 3] {
+    let sh = model.sh(i);
+    [sh[0], sh[1], sh[2]]
+}
+
 /// A foveated PBNR model: L1 base + subset hierarchy + multi-versioned
 /// parameters.
 ///
+/// Level `ℓ` is a view of the base points with quality bound ≥ `ℓ`, read
+/// with level `ℓ`'s opacity and SH DC; no per-level copy exists.
+///
 /// Invariants (checked by [`FoveatedModel::validate`]):
-/// * points of level `ℓ+1` are a strict subset of level `ℓ`'s
+/// * points of level `ℓ+1` are a subset of level `ℓ`'s
 ///   (monotone quality bounds),
 /// * level 0 contains every point,
 /// * per-level parameter vectors are base-length.
@@ -39,13 +68,6 @@ pub struct FoveatedModel {
     level_params: Vec<LevelParams>,
     /// Eccentricity regions the levels map to.
     regions: QualityRegions,
-    /// Materialized per-level models (cached; `level_models[ℓ]` contains
-    /// only the points admitted to level ℓ with that level's parameters).
-    #[serde(skip)]
-    level_models: Vec<GaussianModel>,
-    /// For each level, mapping from level-model point index → base index.
-    #[serde(skip)]
-    level_index_maps: Vec<Vec<u32>>,
 }
 
 impl FoveatedModel {
@@ -63,16 +85,13 @@ impl FoveatedModel {
         level_params: Vec<LevelParams>,
         regions: QualityRegions,
     ) -> Self {
-        let mut out = Self {
+        let out = Self {
             base,
             quality_bound,
             level_params,
             regions,
-            level_models: Vec::new(),
-            level_index_maps: Vec::new(),
         };
         out.validate().expect("invalid foveated model");
-        out.materialize();
         out
     }
 
@@ -106,30 +125,6 @@ impl FoveatedModel {
         self.base.validate()
     }
 
-    fn materialize(&mut self) {
-        let levels = self.level_count();
-        self.level_models.clear();
-        self.level_index_maps.clear();
-        for l in 0..levels {
-            let indices: Vec<usize> = (0..self.base.len())
-                .filter(|&i| self.quality_bound[i] as usize >= l)
-                .collect();
-            let mut m = self.base.subset(&indices);
-            if l >= 1 {
-                let params = &self.level_params[l - 1];
-                let stride = m.sh_stride();
-                for (new_i, &old_i) in indices.iter().enumerate() {
-                    m.opacities[new_i] = params.opacity[old_i];
-                    m.sh_coeffs[new_i * stride..new_i * stride + 3]
-                        .copy_from_slice(&params.dc[old_i]);
-                }
-            }
-            self.level_index_maps
-                .push(indices.iter().map(|&i| i as u32).collect());
-            self.level_models.push(m);
-        }
-    }
-
     /// Number of quality levels (paper uses 4).
     pub fn level_count(&self) -> usize {
         self.regions.level_count()
@@ -150,29 +145,53 @@ impl FoveatedModel {
         &self.quality_bound
     }
 
-    /// The materialized model of level `l` (0 = highest quality).
+    /// Point `i`'s opacity and SH DC on level `l`, or `None` when the point
+    /// is not in the level.
+    pub(crate) fn level_point(&self, l: usize, i: usize) -> Option<(f32, [f32; 3])> {
+        if (self.quality_bound[i] as usize) < l {
+            return None;
+        }
+        Some(match l.checked_sub(1) {
+            Some(p) => (self.level_params[p].opacity[i], self.level_params[p].dc[i]),
+            None => (self.base.opacities[i], sh_dc(&self.base, i)),
+        })
+    }
+
+    /// Level `l` (0 = highest quality) built as a standalone model: its
+    /// points in base order, with its opacity and SH DC. The renderer never
+    /// builds this — it shades levels as views over the base — so this is
+    /// the reference that level renders are compared against.
     ///
     /// # Panics
     ///
     /// Panics when `l >= level_count`.
-    pub fn level_model(&self, l: usize) -> &GaussianModel {
-        &self.level_models[l]
-    }
-
-    /// Mapping from level-`l` point indices to base indices.
-    pub fn level_index_map(&self, l: usize) -> &[u32] {
-        &self.level_index_maps[l]
+    pub fn level_model(&self, l: usize) -> GaussianModel {
+        assert!(l < self.level_count(), "level {l} out of range");
+        let indices: Vec<usize> = (0..self.base.len())
+            .filter(|&i| self.level_point(l, i).is_some())
+            .collect();
+        let mut m = self.base.subset(&indices);
+        let stride = m.sh_stride();
+        for (j, &i) in indices.iter().enumerate() {
+            let (opacity, dc) = self.level_point(l, i).expect("level member");
+            m.opacities[j] = opacity;
+            m.sh_coeffs[j * stride..j * stride + 3].copy_from_slice(&dc);
+        }
+        m
     }
 
     /// Point count per level (non-increasing by the subset invariant).
     pub fn level_point_counts(&self) -> Vec<usize> {
-        self.level_models.iter().map(|m| m.len()).collect()
+        let bounds = &self.quality_bound;
+        (0..self.level_count())
+            .map(|l| bounds.iter().filter(|&&b| b as usize >= l).count())
+            .collect()
     }
 
     /// Total storage in bytes: the base model plus the multi-versioned
     /// parameters (4 floats per point per *extra* level it participates in).
     /// This is the paper's "about 6%" overhead accounting (§7.4): unlike
-    /// MMFR, subsetting stores each point once.
+    /// MMFR, subsetting stores each point once, in memory too.
     pub fn storage_bytes(&self) -> usize {
         let base = self.base.storage_bytes();
         let mut extra_versions = 0usize;
@@ -212,15 +231,7 @@ mod tests {
     }
 
     fn no_override(base: &GaussianModel) -> LevelParams {
-        LevelParams {
-            opacity: base.opacities.clone(),
-            dc: (0..base.len())
-                .map(|i| {
-                    let sh = base.sh(i);
-                    [sh[0], sh[1], sh[2]]
-                })
-                .collect(),
-        }
+        LevelParams::from_level(base, base, &[])
     }
 
     fn sample() -> FoveatedModel {
@@ -236,16 +247,18 @@ mod tests {
         let fm = sample();
         let counts = fm.level_point_counts();
         assert_eq!(counts, vec![8, 6, 4, 2]);
-        // Subset invariant: level l+1 indices ⊆ level l indices.
+        // Subset invariant: level l+1 points ⊆ level l points.
         for l in 0..3 {
-            let a: std::collections::HashSet<u32> = fm.level_index_map(l).iter().copied().collect();
-            for &i in fm.level_index_map(l + 1) {
+            for i in 0..fm.base().len() {
                 assert!(
-                    a.contains(&i),
+                    fm.level_point(l + 1, i).is_none() || fm.level_point(l, i).is_some(),
                     "level {} point {i} missing from level {l}",
                     l + 1
                 );
             }
+        }
+        for (l, &count) in counts.iter().enumerate() {
+            assert_eq!(fm.level_model(l).len(), count);
         }
     }
 

@@ -1,33 +1,36 @@
 //! The foveated rendering pipeline (Fig. 7-E): Projection → Filtering →
 //! Sorting → Rasterization → Blending.
 //!
-//! Each quality level renders as one pixel-masked frame on the renderer's
-//! only frame driver ([`ms_render::FrameInFlight`], through
-//! [`Renderer::render_with_arena`] with a [`FrameRequest::masked`]
-//! request): the mask is the Filtering stage — tiles outside the level's
-//! region are never binned — and the level passes share one
-//! [`FrameArena`], so scratch buffers are recycled from level to level.
+//! A [`FoveatedModel`]'s levels are views over one base point set, so the
+//! base geometry is projected once per frame and each level's splats are
+//! shaded from it. Each level then renders as one pixel-masked frame begun
+//! at Bin ([`Renderer::render_splats`]): the mask is the Filtering stage —
+//! tiles outside the level's region are never binned — and the level
+//! passes share one [`FrameArena`], so scratch buffers are recycled from
+//! level to level.
 
 use crate::model::FoveatedModel;
 use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
 use ms_math::{rad_to_deg, Vec2};
-use ms_render::{FrameArena, FrameRequest, Image, RenderOptions, RenderStats, Renderer};
-use ms_scene::{Camera, GaussianModel};
+use ms_render::{
+    project_geometry_into, Appearance, FrameArena, Image, ProjectedSplat, RenderOptions,
+    RenderOutput, RenderStats, Renderer, StageKind, StageSample,
+};
+use ms_scene::Camera;
+use std::time::Instant;
 
 /// Result of a foveated render.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FovRenderOutput {
     /// The blended foveated image.
     pub image: Image,
-    /// Merged workload statistics across levels (per-tile intersections are
-    /// summed element-wise; projection is counted once for subsetting
-    /// models, per-level for multi-model baselines). In the merged profile,
-    /// Project *work counters* follow the same sharing model (so
-    /// `profile.items(Project) == points_projected` always holds), while
-    /// Project *wall times* sum every level's measured projection cost —
-    /// don't compute items/wall throughput from the merged Project samples.
+    /// Merged workload statistics across levels: per-tile intersections
+    /// sum element-wise and the profile absorbs every level's profile.
+    /// Projection counts once for subsetting models (level 0 carries the
+    /// one Project sample) and per level for multi-model baselines.
     pub stats: RenderStats,
-    /// Raw per-level statistics.
+    /// Raw per-level statistics (point vectors of subsetting models are
+    /// indexed by base point index).
     pub per_level_stats: Vec<RenderStats>,
     /// Dominant quality level per tile (row-major) — the accelerator
     /// simulator's input alongside the intersection counts.
@@ -36,20 +39,10 @@ pub struct FovRenderOutput {
     pub blended_pixels: usize,
 }
 
-/// How per-level projection cost is accounted in the merged stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProjectionSharing {
-    /// Subsetting (ours/SMFR): projection + filtering run once over the
-    /// base point set (paper §4.2).
-    Shared,
-    /// Multi-model (MMFR): every level projects its own model.
-    PerLevel,
-}
-
 /// Renders [`FoveatedModel`]s (and, internally, multi-model baselines).
 #[derive(Debug, Clone)]
 pub struct FoveatedRenderer {
-    renderer: Renderer,
+    pub(crate) renderer: Renderer,
 }
 
 impl Default for FoveatedRenderer {
@@ -77,85 +70,102 @@ impl FoveatedRenderer {
 
     /// Render a foveated model. `gaze` is in pixels (`None` = image
     /// center, the fixation the paper's objective metrics assume).
+    ///
+    /// Projection runs once over the base point set (§4.2); each level then
+    /// shades its points with its own opacity, cull and SH DC — never
+    /// culling on base opacity, which a level may raise. The frame's one
+    /// Project sample rides on `per_level_stats[0]`.
+    ///
+    /// With `RenderOptions::lod >= 2`, the peripheral levels (all but l = 0)
+    /// keep only points whose base index is a multiple of `lod`, opacity
+    /// rescaled — `SceneSource::load_coarse_chunk_into`'s selection. The
+    /// LOD frame is deterministic per stride but intentionally not
+    /// bit-identical to the full one.
     pub fn render(
         &self,
         model: &FoveatedModel,
         camera: &Camera,
         gaze: Option<Vec2>,
     ) -> FovRenderOutput {
-        let level_models: Vec<&GaussianModel> = (0..model.level_count())
-            .map(|l| model.level_model(l))
+        let options = self.renderer.options();
+        let base = model.base();
+        let start = Instant::now();
+        let mut geometry = Vec::new();
+        project_geometry_into(base, camera, options, &mut geometry);
+        let appearance = Appearance::new(base, camera, options);
+        let lod = options.lod_stride().unwrap_or(1);
+        let shade = |l: usize, g: &ProjectedSplat| {
+            let i = g.point_index as usize;
+            let stride = if l == 0 { 1 } else { lod };
+            let (opacity, dc) = model.level_point(l, i).filter(|_| i % stride == 0)?;
+            let opacity = match stride {
+                1 => opacity,
+                k => (opacity * k as f32).min(1.0),
+            };
+            let mut sh = [0.0f32; 3 * ms_math::sh::MAX_COEFFS];
+            let sh = &mut sh[..base.sh_stride()];
+            sh.copy_from_slice(base.sh(i));
+            sh[..3].copy_from_slice(&dc);
+            appearance.shade(g, base.positions[i], sh, opacity)
+        };
+        let mut level_splats: Vec<Vec<_>> = (0..model.level_count())
+            .map(|l| geometry.iter().filter_map(|g| shade(l, g)).collect())
             .collect();
-        self.render_levels(
-            &level_models,
-            model.regions(),
-            camera,
-            gaze,
-            ProjectionSharing::Shared,
-        )
+        let project = StageSample {
+            kind: StageKind::Project,
+            wall: start.elapsed(),
+            items: level_splats[0].len() as u64,
+        };
+        self.render_levels(model.regions(), camera, gaze, |l, mask, arena| {
+            let (mut out, arena) = self.renderer.render_splats(
+                base.len(),
+                std::mem::take(&mut level_splats[l]),
+                Some(mask),
+                camera,
+                arena,
+            );
+            if l == 0 {
+                out.stats.profile.samples.insert(0, project);
+            }
+            (out, arena)
+        })
     }
 
-    /// Render an arbitrary stack of per-level models (used by the SMFR/MMFR
-    /// baselines and exposed through `baselines`).
+    /// Render every level as a masked frame through `render_level(l, mask,
+    /// arena)`, blend the level images and merge their statistics.
     pub(crate) fn render_levels(
         &self,
-        level_models: &[&GaussianModel],
         regions: &QualityRegions,
         camera: &Camera,
         gaze: Option<Vec2>,
-        sharing: ProjectionSharing,
+        mut render_level: impl FnMut(usize, &[bool], FrameArena) -> (RenderOutput, FrameArena),
     ) -> FovRenderOutput {
-        assert_eq!(
-            level_models.len(),
-            regions.level_count(),
-            "one model per quality region required"
-        );
         let display = DisplayGeometry::new(camera.width, camera.height, rad_to_deg(camera.fovx()));
         let gaze = gaze.unwrap_or_else(|| display.center());
         let ecc = EccentricityMap::new(display, gaze);
 
-        let n_pixels = (camera.width * camera.height) as usize;
         let levels = regions.level_count();
         // Per-pixel (level, blend weight toward the next level).
-        let mut pixel_level = vec![0u8; n_pixels];
-        let mut pixel_blend = vec![0.0f32; n_pixels];
-        for (i, &e) in ecc.values().iter().enumerate() {
-            let (l, w) = regions.blend_toward_next(e);
-            pixel_level[i] = l as u8;
-            pixel_blend[i] = w;
-        }
+        let (pixel_level, pixel_blend): (Vec<u8>, Vec<f32>) = ecc
+            .values()
+            .iter()
+            .map(|&e| regions.blend_toward_next(e))
+            .map(|(l, w)| (l as u8, w))
+            .unzip();
 
         // Per-level pixel masks: a level renders its own region plus the
         // blend band of the previous region that leads into it.
-        //
-        // With `RenderOptions::lod >= 2`, the *peripheral* levels (every
-        // level but the foveal l == 0) render a coarse subset — every
-        // `lod`-th splat by global index with opacity rescaled, the exact
-        // subset `ms_scene::SceneSource::load_coarse_chunk_into` serves per
-        // chunk — so far-eccentricity tiles pay for a fraction of the
-        // splats. The selection is deterministic per stride; the LOD frame
-        // is intentionally not bit-identical to the full one.
-        let lod = self.renderer.options().lod_stride();
         let mut level_images: Vec<Image> = Vec::with_capacity(levels);
         let mut per_level_stats: Vec<RenderStats> = Vec::with_capacity(levels);
-        let mut mask = vec![false; n_pixels];
+        let mut mask = vec![false; pixel_level.len()];
         let mut arena = FrameArena::default();
-        for (l, level_model) in level_models.iter().enumerate().take(levels) {
+        for l in 0..levels {
             for (i, active) in mask.iter_mut().enumerate() {
                 let pl = pixel_level[i] as usize;
                 *active = pl == l || (l >= 1 && pl == l - 1 && pixel_blend[i] > 0.0);
             }
-            let coarse = match lod {
-                Some(stride) if l >= 1 => Some(ms_scene::coarse_subset(level_model, stride, 0)),
-                _ => None,
-            };
-            let render_model: &GaussianModel = coarse.as_ref().unwrap_or(level_model);
             let out;
-            (out, arena) = self.renderer.render_with_arena(
-                FrameRequest::masked(render_model, &mask),
-                camera,
-                arena,
-            );
+            (out, arena) = render_level(l, &mask, arena);
             level_images.push(out.image);
             per_level_stats.push(out.stats);
         }
@@ -184,60 +194,29 @@ impl FoveatedRenderer {
         // Merge stats. Per-level stage profiles fold into one frame profile
         // (per-stage wall times and work counters sum across levels), so the
         // merged stats stay the single source the accelerator workload is
-        // derived from.
+        // derived from. Points count as projected and submitted where a
+        // Project stage ran: once for subsetting, per level for MMFR.
         let grid = per_level_stats[0].grid;
         let mut tile_intersections = vec![0u32; per_level_stats[0].tile_intersections.len()];
         let mut blend_steps = 0u64;
+        let mut points_submitted = 0;
         let mut profile = ms_render::FrameProfile::default();
-        for (l, s) in per_level_stats.iter().enumerate() {
+        for s in &per_level_stats {
             for (acc, &v) in tile_intersections.iter_mut().zip(&s.tile_intersections) {
                 *acc += v;
             }
             blend_steps += s.blend_steps;
-            if sharing == ProjectionSharing::Shared && l > 0 {
-                // Subsetting projects once over the base set; levels beyond
-                // the first re-project only because the reference renderer
-                // has no shared projection cache. Zero their Project *work
-                // counters* so the merged Project counter equals
-                // `points_projected` (the modeled shared-projection work,
-                // the invariant `AccelWorkload::from_stats` relies on) —
-                // but keep their wall times, which were genuinely spent.
-                let adjusted = ms_render::FrameProfile {
-                    samples: s
-                        .profile
-                        .samples
-                        .iter()
-                        .map(|smp| {
-                            if smp.kind == ms_render::StageKind::Project {
-                                ms_render::StageSample { items: 0, ..*smp }
-                            } else {
-                                *smp
-                            }
-                        })
-                        .collect(),
-                    raster: s.profile.raster,
-                    chunk_bytes_peak: s.profile.chunk_bytes_peak,
-                    projected_bytes_peak: s.profile.projected_bytes_peak,
-                    cache: s.profile.cache,
-                };
-                profile.absorb(&adjusted);
-            } else {
-                profile.absorb(&s.profile);
+            if s.profile
+                .samples
+                .iter()
+                .any(|p| p.kind == StageKind::Project)
+            {
+                points_submitted += s.points_submitted;
             }
+            profile.absorb(&s.profile);
         }
         let total_intersections = tile_intersections.iter().map(|&v| v as u64).sum();
-        let (points_projected, points_submitted) = match sharing {
-            // Subsetting: projection and filtering execute once, over the
-            // base set (= level 0's model).
-            ProjectionSharing::Shared => (
-                per_level_stats[0].points_projected,
-                per_level_stats[0].points_submitted,
-            ),
-            ProjectionSharing::PerLevel => (
-                per_level_stats.iter().map(|s| s.points_projected).sum(),
-                per_level_stats.iter().map(|s| s.points_submitted).sum(),
-            ),
-        };
+        let points_projected = profile.items(StageKind::Project) as usize;
 
         // Dominant level per tile (majority of pixels).
         let ts = grid.tile_size;
@@ -361,7 +340,7 @@ mod tests {
     fn foveal_region_matches_l1_render() {
         let (fr, cameras, _) = setup();
         let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        let dense = Renderer::new(fr_opts()).render(fr.level_model(0), &cameras[0]);
+        let dense = Renderer::new(fr_opts()).render(&fr.level_model(0), &cameras[0]);
         // Center pixel is deep inside R1 (no blending): exact L1 color.
         let c = out.image.pixel(64, 48);
         let d = dense.image.pixel(64, 48);
@@ -413,11 +392,40 @@ mod tests {
     #[test]
     fn merged_projection_counts_base_once() {
         let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
+        let opts = RenderOptions {
+            track_point_stats: true,
+            ..fr_opts()
+        };
+        let out = FoveatedRenderer::new(opts).render(&fr, &cameras[0], None);
         assert_eq!(out.stats.points_submitted, fr.base().len());
         // Per-level projected sums exceed the shared count (subsetting wins).
         let sum: usize = out.per_level_stats.iter().map(|s| s.points_projected).sum();
         assert!(sum >= out.stats.points_projected);
+        // One projection per frame, carried by level 0.
+        let project_samples = |s: &RenderStats| {
+            s.profile
+                .samples
+                .iter()
+                .filter(|smp| smp.kind == ms_render::StageKind::Project)
+                .count()
+        };
+        assert_eq!(project_samples(&out.per_level_stats[0]), 1);
+        assert_eq!(project_samples(&out.stats), 1);
+        // Every level's point vectors are indexed by base point index: a
+        // point outside a level never appears in that level's frame.
+        for (l, s) in out.per_level_stats.iter().enumerate() {
+            assert!(l == 0 || project_samples(s) == 0, "level {l} projected");
+            assert_eq!(s.point_tiles_used.len(), fr.base().len(), "level {l}");
+            assert_eq!(s.point_pixels_dominated.len(), fr.base().len());
+            for i in 0..fr.base().len() {
+                if fr.level_point(l, i).is_none() {
+                    assert_eq!(s.point_tiles_used[i], 0, "level {l} point {i}");
+                    assert_eq!(s.point_pixels_dominated[i], 0, "level {l} point {i}");
+                }
+            }
+            let used = s.point_tiles_used.iter().map(|&t| t as u64).sum::<u64>();
+            assert_eq!(used, s.total_intersections, "level {l}");
+        }
     }
 
     #[test]

@@ -361,8 +361,8 @@ impl TileBins {
 
     /// Reference implementation with the old nested `Vec<Vec<u32>>` layout.
     ///
-    /// Kept as the baseline for the CSR equivalence property test and the
-    /// `binning` benchmark; not used on the render path.
+    /// Kept as the baseline for the CSR equivalence property test; not used
+    /// on the render path.
     pub fn build_naive<F: FnMut(u32, u32) -> bool>(
         splats: &[ProjectedSplat],
         grid: TileGridDims,

@@ -4,10 +4,10 @@
 //!
 //! `FrameInFlight` is the renderer's only frame driver: every entry point —
 //! [`Renderer::render`](crate::Renderer::render), the chunked
-//! [`render_source`](crate::Renderer::render_source), pixel-masked frames
-//! (the foveated renderer's per-level passes), pre-projected
-//! [`render_splats`](crate::Renderer::render_splats) and the `ms_serve`
-//! frame server — begins a frame and pumps
+//! [`render_source`](crate::Renderer::render_source), pixel-masked frames,
+//! pre-projected [`render_splats`](crate::Renderer::render_splats) (the
+//! foveated renderer's per-level passes) and the `ms_serve` frame server —
+//! begins a frame and pumps
 //! [`run_stage`](FrameInFlight::run_stage) to completion, and `run_stage`
 //! is the one place that sequences Project → Bin → Merge → Raster →
 //! Composite. A frame server wants many frames **in flight at once** —
@@ -59,8 +59,8 @@ use std::time::{Duration, Instant};
 pub enum SceneRef<'a> {
     /// The whole model resident in one `Vec`-of-arrays.
     InCore(&'a GaussianModel),
-    /// A chunked source with a bounded resident budget; only one chunk of
-    /// it is materialized at a time while the frame streams Project + Bin.
+    /// A chunked source with a bounded resident budget, decoded chunk by
+    /// chunk while the frame streams Project + Bin.
     Chunked(&'a (dyn SceneSource + Sync)),
 }
 
@@ -530,15 +530,21 @@ impl FrameInFlight {
         )
     }
 
-    /// Start an unmasked frame at the Bin stage over already-projected
-    /// `splats` ([`Renderer::render_splats`]); the profile carries no
-    /// Project sample.
-    pub(crate) fn from_splats(camera: Camera, model_len: usize, splats: &[ProjectedSplat]) -> Self {
+    /// Start a frame at the Bin stage over already-projected `splats`
+    /// ([`Renderer::render_splats`]), optionally masked; the profile carries
+    /// no Project sample, and `arena`'s splat buffer is dropped.
+    pub(crate) fn from_splats(
+        camera: Camera,
+        model_len: usize,
+        splats: Vec<ProjectedSplat>,
+        mask: Option<&[bool]>,
+        arena: FrameArena,
+    ) -> Self {
         let state = State::Bin {
-            splats: splats.to_vec(),
-            recycle: (Vec::new(), Vec::new()),
+            splats,
+            recycle: (arena.offsets, arena.indices),
         };
-        Self::with_state(camera, model_len, None, state, Vec::new())
+        Self::with_state(camera, model_len, mask, state, arena.raster)
     }
 
     fn with_state(

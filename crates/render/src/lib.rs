@@ -55,8 +55,8 @@ pub use image::Image;
 pub use options::{RasterKernel, RenderOptions, SortMode};
 pub use pipeline::{FrameProfile, Profiler, Stage, StageKind, StageSample};
 pub use projection::{
-    project_model, project_model_filtered, project_model_filtered_into, project_model_offset_into,
-    ProjectedSplat,
+    project_geometry_into, project_model, project_model_filtered, project_model_offset_into,
+    Appearance, ProjectedSplat,
 };
 pub use raster::{RasterScratch, RenderOutput, Renderer};
 pub use stats::{RasterWork, RenderStats, TileGridDims};

@@ -117,7 +117,7 @@
 use crate::binning::{MergedTileSchedule, TileBins};
 use crate::image::Image;
 use crate::options::RenderOptions;
-use crate::projection::{project_model_filtered_into, ProjectedSplat};
+use crate::projection::{project_model_offset_into, ProjectedSplat};
 use crate::raster::{rasterize_unit, RasterScratch, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
 use ms_scene::{CacheStats, Camera, GaussianModel};
@@ -376,7 +376,8 @@ impl Stage for ProjectStage<'_> {
 
     fn run(&mut self, _input: ()) -> Self::Out {
         let mut out = std::mem::take(&mut self.recycle);
-        project_model_filtered_into(self.model, self.camera, self.options, &|_| true, &mut out);
+        let (model, camera, options) = (self.model, self.camera, self.options);
+        project_model_offset_into(model, camera, options, 0, &|_| true, &mut out);
         out
     }
 

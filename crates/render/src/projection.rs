@@ -101,11 +101,10 @@ struct FrameContext {
     tan_half_fov: Vec2,
     tiles_x: u32,
     tiles_y: u32,
-    sh_degree: usize,
 }
 
 impl FrameContext {
-    fn new(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> Self {
+    fn new(camera: &Camera, options: &RenderOptions) -> Self {
         let view = camera.view_matrix();
         Self {
             view_rot: view.upper_left3(),
@@ -114,85 +113,103 @@ impl FrameContext {
             tan_half_fov: Vec2::new((camera.fovx() * 0.5).tan(), (camera.fovy * 0.5).tan()),
             tiles_x: camera.width.div_ceil(options.tile_size),
             tiles_y: camera.height.div_ceil(options.tile_size),
-            sh_degree: options.sh_degree.min(model.sh_degree),
         }
     }
 }
 
-/// Project points `range` of `model`, appending surviving splats to `out`
-/// in point-index order. `base` is the model's offset within a larger scene
-/// (the chunked [`ms_scene::SceneSource`] path): stored point indices and
-/// the admission predicate both see `base + i`. The in-core path passes 0,
-/// making `base` arithmetically invisible there.
-#[allow(clippy::too_many_arguments)]
-fn project_range<F: Fn(usize) -> bool>(
+/// Point `i` as a splat with only its geometry (zero colour and opacity),
+/// or `None` when it is behind the near plane, outside the padded frustum
+/// or has a degenerate footprint.
+fn point_geometry(
     ctx: &FrameContext,
     model: &GaussianModel,
     camera: &Camera,
     options: &RenderOptions,
     base: u32,
-    range: std::ops::Range<usize>,
-    admit: &F,
-    out: &mut Vec<ProjectedSplat>,
-) {
-    for i in range {
-        if !admit(base as usize + i) {
-            continue;
+    i: usize,
+) -> Option<ProjectedSplat> {
+    let view_pos = ctx.view.transform_point(model.positions[i]).project();
+    let depth = -view_pos.z;
+    if depth < camera.near || depth > camera.far {
+        return None;
+    }
+    // Generous frustum cull: the splat's center may sit outside the image
+    // while its footprint still overlaps it; the tile-rect test below is
+    // the precise one, this just skips far-out points early.
+    if (view_pos.x / depth).abs() > 1.5 * ctx.tan_half_fov.x + 1.0
+        || (view_pos.y / depth).abs() > 1.5 * ctx.tan_half_fov.y + 1.0
+    {
+        return None;
+    }
+    let center = camera.view_to_pixel(view_pos)?;
+    let cov2 = project_covariance(
+        model.scales[i],
+        model.rotations[i],
+        &ctx.view_rot,
+        view_pos,
+        ctx.focal,
+        ctx.tan_half_fov,
+    )
+    .dilated(options.dilation);
+    let conic = cov2.to_conic()?;
+    let radius = cov2.bounding_radius(options.extent_sigma).ceil();
+    if radius < 0.5 {
+        return None;
+    }
+    let tiles = TileRect::from_circle(center, radius, options.tile_size, ctx.tiles_x, ctx.tiles_y)?;
+    Some(ProjectedSplat {
+        point_index: base + i as u32,
+        center,
+        conic,
+        depth,
+        radius,
+        color: Vec3::zero(),
+        opacity: 0.0,
+        tiles,
+    })
+}
+
+/// The appearance half of projection: the `alpha_min` cull and the SH
+/// colour. The foveated renderer shades shared geometry with it once per
+/// quality level; running the same `f32` operations as plain projection
+/// makes a level's splats bit-identical to projecting the level alone.
+#[derive(Debug, Clone, Copy)]
+pub struct Appearance {
+    eye: Vec3,
+    alpha_min: f32,
+    sh_degree: usize,
+}
+
+impl Appearance {
+    /// The appearance of `model`'s points seen from `camera`.
+    pub fn new(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> Self {
+        Self {
+            eye: camera.eye,
+            alpha_min: options.alpha_min,
+            sh_degree: options.sh_degree.min(model.sh_degree),
         }
-        let opacity = model.opacities[i];
-        if opacity < options.alpha_min {
-            continue;
-        }
-        let world_pos = model.positions[i];
-        let view_pos = ctx.view.transform_point(world_pos).project();
-        let depth = -view_pos.z;
-        if depth < camera.near || depth > camera.far {
-            continue;
-        }
-        // Generous frustum cull: the splat's center may sit outside the
-        // image while its footprint still overlaps it; the tile-rect test
-        // below is the precise one, this just skips far-out points early.
-        if (view_pos.x / depth).abs() > 1.5 * ctx.tan_half_fov.x + 1.0
-            || (view_pos.y / depth).abs() > 1.5 * ctx.tan_half_fov.y + 1.0
-        {
-            continue;
-        }
-        let Some(center) = camera.view_to_pixel(view_pos) else {
-            continue;
-        };
-        let cov2 = project_covariance(
-            model.scales[i],
-            model.rotations[i],
-            &ctx.view_rot,
-            view_pos,
-            ctx.focal,
-            ctx.tan_half_fov,
-        )
-        .dilated(options.dilation);
-        let Some(conic) = cov2.to_conic() else {
-            continue;
-        };
-        let radius = cov2.bounding_radius(options.extent_sigma).ceil();
-        if radius < 0.5 {
-            continue;
-        }
-        let Some(tiles) =
-            TileRect::from_circle(center, radius, options.tile_size, ctx.tiles_x, ctx.tiles_y)
-        else {
-            continue;
-        };
-        let view_dir = world_pos - camera.eye;
-        let color = ms_math::sh::eval_color(ctx.sh_degree, view_dir, model.sh(i));
-        out.push(ProjectedSplat {
-            point_index: base + i as u32,
-            center,
-            conic,
-            depth,
-            radius,
-            color,
+    }
+
+    fn culls(&self, opacity: f32) -> bool {
+        opacity < self.alpha_min
+    }
+
+    /// `geometry` with `opacity` and the colour of the SH coefficients `sh`
+    /// of the point at `world_pos`, or `None` when the `alpha_min` cull
+    /// drops it.
+    #[inline]
+    pub fn shade(
+        &self,
+        geometry: &ProjectedSplat,
+        world_pos: Vec3,
+        sh: &[f32],
+        opacity: f32,
+    ) -> Option<ProjectedSplat> {
+        (!self.culls(opacity)).then(|| ProjectedSplat {
+            color: ms_math::sh::eval_color(self.sh_degree, world_pos - self.eye, sh),
             opacity,
-            tiles,
-        });
+            ..*geometry
+        })
     }
 }
 
@@ -202,13 +219,38 @@ fn project_range<F: Fn(usize) -> bool>(
 /// concatenate in point order), only the wall time.
 const MIN_POINTS_PER_SHARD: usize = 512;
 
+/// Clear `out` and fill it by `fill(range, part)` over `0..n`, sharded on
+/// the worker pool and concatenated in shard (= point) order.
+fn sharded_into<T: Send>(
+    n: usize,
+    options: &RenderOptions,
+    out: &mut Vec<T>,
+    fill: impl Fn(std::ops::Range<usize>, &mut Vec<T>) + Sync,
+) {
+    out.clear();
+    let shards = options
+        .resolved_threads()
+        .min(n / MIN_POINTS_PER_SHARD)
+        .max(1);
+    if shards <= 1 {
+        fill(0..n, out);
+        return;
+    }
+    let parts = crate::par::shard_map(n, shards, |range| {
+        let mut part = Vec::with_capacity(range.len() / 2);
+        fill(range, &mut part);
+        part
+    });
+    out.reserve(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+}
+
 /// [`project_model`] with a per-point admission predicate: points for
 /// which `admit(i)` is false are dropped before any projection work. The
 /// resulting splats render through
-/// [`Renderer::render_splats`](crate::Renderer::render_splats). (The
-/// foveated renderer does not use the predicate: its levels are
-/// materialized subset models, and its Filtering stage is the per-level
-/// pixel mask of a [`FrameRequest`](crate::FrameRequest).)
+/// [`Renderer::render_splats`](crate::Renderer::render_splats).
 ///
 /// When `options.threads != 1` the point range is sharded into contiguous
 /// chunks projected on the worker pool; shard outputs concatenate in chunk
@@ -221,31 +263,18 @@ pub fn project_model_filtered<F: Fn(usize) -> bool + Sync>(
     admit: F,
 ) -> Vec<ProjectedSplat> {
     let mut out = Vec::new();
-    project_model_filtered_into(model, camera, options, &admit, &mut out);
+    project_model_offset_into(model, camera, options, 0, &admit, &mut out);
     out
 }
 
-/// [`project_model_filtered`] appending into a caller-provided buffer
-/// (cleared first), so a recycled [`FrameArena`](crate::FrameArena) can
-/// reuse its splat storage across frames instead of allocating per frame.
-/// The projection arithmetic — and therefore the output — is identical to
-/// the allocating variant for every thread count.
-pub fn project_model_filtered_into<F: Fn(usize) -> bool + Sync>(
-    model: &GaussianModel,
-    camera: &Camera,
-    options: &RenderOptions,
-    admit: &F,
-    out: &mut Vec<ProjectedSplat>,
-) {
-    project_model_offset_into(model, camera, options, 0, admit, out);
-}
-
-/// [`project_model_filtered_into`] for a model that is a chunk of a larger
-/// scene starting at global point index `base`: stored `point_index` values
-/// are `base + i` and the admission predicate sees global indices. With
-/// `base == 0` this *is* `project_model_filtered_into` — same arithmetic,
-/// bit-identical output — which is what makes chunked projection (chunks
-/// concatenated in order) equal to in-core projection of the flat model.
+/// [`project_model_filtered`] into a caller-provided buffer (cleared
+/// first, so a recycled [`FrameArena`](crate::FrameArena) keeps its
+/// capacity), for a model that is a chunk of a larger scene starting at
+/// global point index `base`: stored `point_index` values are `base + i`
+/// and the admission predicate sees global indices. With `base == 0` this
+/// is the in-core projection — same arithmetic, bit-identical output —
+/// which is what makes chunked projection (chunks concatenated in order)
+/// equal to in-core projection of the flat model.
 pub fn project_model_offset_into<F: Fn(usize) -> bool + Sync>(
     model: &GaussianModel,
     camera: &Camera,
@@ -254,30 +283,33 @@ pub fn project_model_offset_into<F: Fn(usize) -> bool + Sync>(
     admit: &F,
     out: &mut Vec<ProjectedSplat>,
 ) {
-    out.clear();
-    let ctx = FrameContext::new(model, camera, options);
-    let n = model.len();
-    let shards = options
-        .resolved_threads()
-        .min(n / MIN_POINTS_PER_SHARD)
-        .max(1);
-
-    // One contiguous chunk per shard; results come back in shard order and
-    // concatenate, preserving model order exactly. `shards == 1` runs
-    // inline without touching the pool (and straight into `out`).
-    if shards <= 1 {
-        project_range(&ctx, model, camera, options, base, 0..n, admit, out);
-        return;
-    }
-    let parts = crate::par::shard_map(n, shards, |range| {
-        let mut part = Vec::with_capacity(range.len() / 2);
-        project_range(&ctx, model, camera, options, base, range, admit, &mut part);
-        part
+    let ctx = FrameContext::new(camera, options);
+    let appearance = Appearance::new(model, camera, options);
+    sharded_into(model.len(), options, out, |range, part| {
+        for i in range {
+            let opacity = model.opacities[i];
+            if !admit(base as usize + i) || appearance.culls(opacity) {
+                continue;
+            }
+            if let Some(geometry) = point_geometry(&ctx, model, camera, options, base, i) {
+                part.extend(appearance.shade(&geometry, model.positions[i], model.sh(i), opacity));
+            }
+        }
     });
-    out.reserve(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        out.extend(part);
-    }
+}
+
+/// The geometry half of projection for every point of `model`, into `out`
+/// (cleared first); [`Appearance::shade`] adds opacity, cull and colour.
+pub fn project_geometry_into(
+    model: &GaussianModel,
+    camera: &Camera,
+    options: &RenderOptions,
+    out: &mut Vec<ProjectedSplat>,
+) {
+    let ctx = FrameContext::new(camera, options);
+    sharded_into(model.len(), options, out, |range, part| {
+        part.extend(range.filter_map(|i| point_geometry(&ctx, model, camera, options, 0, i)))
+    });
 }
 
 #[cfg(test)]

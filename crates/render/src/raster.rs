@@ -256,14 +256,7 @@ impl Renderer {
         arena: FrameArena,
     ) -> FrameInFlight {
         let request = request.into();
-        check_camera(camera);
-        if let Some(mask) = request.mask {
-            assert_eq!(
-                mask.len() as u64,
-                camera.width as u64 * camera.height as u64,
-                "pixel mask size mismatch"
-            );
-        }
+        check_request(camera, request.mask);
         debug_assert!(
             self.options.validate().is_ok(),
             "Renderer options invalidated after construction"
@@ -347,25 +340,27 @@ impl Renderer {
         self.drive(SceneRef::Chunked(source).into(), camera, arena)
     }
 
-    /// Rasterize pre-projected splats: a frame begun at the Bin stage.
-    /// Exposed so callers holding hand-built or reused projections (the
-    /// kernel-equivalence property tests) can skip projection; the
-    /// resulting profile carries no Project sample.
+    /// Rasterize pre-projected splats, restricted to `mask`'s active pixels
+    /// when one is given: a frame begun at the Bin stage, whose profile
+    /// carries no Project sample. `splats` becomes the frame's splat
+    /// buffer; the returned arena recycles it into the next frame.
     ///
     /// # Panics
     ///
     /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
+    /// addressing, or when a mask does not hold one entry per pixel.
     pub fn render_splats(
         &self,
         model_len: usize,
-        splats: &[ProjectedSplat],
+        splats: Vec<ProjectedSplat>,
+        mask: Option<&[bool]>,
         camera: &Camera,
-    ) -> RenderOutput {
-        check_camera(camera);
-        let mut frame = FrameInFlight::from_splats(*camera, model_len, splats);
-        while !frame.step(self, None, None) {}
-        frame.finish(self).0
+        arena: FrameArena,
+    ) -> (RenderOutput, FrameArena) {
+        check_request(camera, mask);
+        let mut frame = FrameInFlight::from_splats(*camera, model_len, splats, mask, arena);
+        while !frame.step(self, None, mask) {}
+        frame.finish(self)
     }
 }
 
@@ -451,8 +446,9 @@ impl Default for Renderer {
 /// as a divide-by-zero far from the actual mistake. Images beyond `u32`
 /// pixel addressing are rejected too — per-pixel indices (`y * width + x`)
 /// are computed in `u32` throughout the hot path, so admitting a larger
-/// image would wrap silently instead of failing loudly.
-fn check_camera(camera: &Camera) {
+/// image would wrap silently instead of failing loudly. A mask must hold
+/// one entry per pixel (compared in `u64`, where `width * height` fits).
+fn check_request(camera: &Camera, mask: Option<&[bool]>) {
     assert!(
         camera.width > 0 && camera.height > 0,
         "degenerate camera: {}x{} image has no pixels",
@@ -465,6 +461,13 @@ fn check_camera(camera: &Camera) {
         camera.width,
         camera.height
     );
+    if let Some(mask) = mask {
+        assert_eq!(
+            mask.len() as u64,
+            camera.width as u64 * camera.height as u64,
+            "pixel mask size mismatch"
+        );
+    }
 }
 
 /// Recyclable per-worker scratch for one raster work unit: the per-tile
@@ -792,7 +795,7 @@ fn splat_cull(o: &RenderOptions, s: &ProjectedSplat) -> SplatCull {
     }
 }
 
-/// One depth-ordered splat of a tile row, materialized by
+/// One depth-ordered splat of a tile row, produced by
 /// [`TileStage::row_iter`]: the row-invariant conic terms are precomputed
 /// (with the scalar kernel's own association order, so they are the
 /// *same* `f32` values the scalar kernel would produce) and the fields the
@@ -997,7 +1000,7 @@ impl TileStage {
 
     /// Depth-ordered [`RowSplat`] sequence for tile-relative row `r`
     /// (pixel-center row `py`), pre-culled against one 4-pixel group's
-    /// column span `[gx_lo, gx_hi]` and materialized lazily from the
+    /// column span `[gx_lo, gx_hi]` and built lazily from the
     /// staged SoA — no per-row buffer is written.
     ///
     /// The column test is [`composite_row4`]'s own whole-group cull
@@ -1750,7 +1753,13 @@ mod tests {
         let camera = cam(64, 64);
         let opts = RenderOptions::default();
         let splats = crate::projection::project_model(&m, &camera, &opts);
-        let out = Renderer::new(opts).render_splats(m.len(), &splats, &camera);
+        let (out, _) = Renderer::new(opts).render_splats(
+            m.len(),
+            splats,
+            None,
+            &camera,
+            FrameArena::default(),
+        );
         assert!(out
             .stats
             .profile

@@ -137,9 +137,11 @@ proptest! {
         let splats = random_splats(&mut rng, n, width, height, tile_size);
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
         let scalar = Renderer::new(options(RasterKernel::Scalar, tile_size, alpha_min, alpha_max, t_min))
-            .render_splats(n, &splats, &cam);
+            .render_splats(n, splats.clone(), None, &cam, FrameArena::default())
+            .0;
         let simd = Renderer::new(options(RasterKernel::Simd4, tile_size, alpha_min, alpha_max, t_min))
-            .render_splats(n, &splats, &cam);
+            .render_splats(n, splats.clone(), None, &cam, FrameArena::default())
+            .0;
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
@@ -186,9 +188,11 @@ proptest! {
             .collect();
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
         let scalar = Renderer::new(options(RasterKernel::Scalar, tile_size, 1.0 / 255.0, 0.99, 0.05))
-            .render_splats(n, &splats, &cam);
+            .render_splats(n, splats.clone(), None, &cam, FrameArena::default())
+            .0;
         let simd = Renderer::new(options(RasterKernel::Simd4, tile_size, 1.0 / 255.0, 0.99, 0.05))
-            .render_splats(n, &splats, &cam);
+            .render_splats(n, splats.clone(), None, &cam, FrameArena::default())
+            .0;
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
@@ -301,7 +305,8 @@ proptest! {
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
         let render = |kernel| {
             Renderer::new(options(kernel, tile_size, alpha_min, 0.99, 1e-4))
-                .render_splats(n, &splats, &cam)
+                .render_splats(n, splats.clone(), None, &cam, FrameArena::default())
+            .0
         };
         let scalar = render(RasterKernel::Scalar);
         let pertile = render(RasterKernel::Simd4);

@@ -96,7 +96,7 @@ impl Trajectory {
     ///
     /// Allocation-free: the frame server samples a trajectory once per
     /// admitted frame, so this must not clone the key list per call (the
-    /// original implementation materialized three temporary vectors). The
+    /// original implementation built three temporary vectors). The
     /// index math and `spline_segment` evaluation reproduce
     /// [`catmull_rom`] over the loop-closed key sequence exactly, so the
     /// rewrite is bit-identical to the old path.

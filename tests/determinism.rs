@@ -73,7 +73,8 @@ fn prefiltered(
     admit: impl Fn(usize) -> bool + Sync,
 ) -> RenderOutput {
     let splats = project_model_filtered(model, cam, r.options(), admit);
-    r.render_splats(model.len(), &splats, cam)
+    r.render_splats(model.len(), splats, None, cam, FrameArena::default())
+        .0
 }
 
 /// Left half plus a sparse checkerboard: masked-out gaps inside 4-pixel
@@ -842,11 +843,17 @@ fn masked_frame_equals_unmasked_render_on_active_pixels() {
 
 /// A foveated model over the kitchen scene whose levels genuinely differ:
 /// point `i` survives up to level `i % levels`, and each level dims
-/// opacity and shifts the DC color.
+/// opacity and shifts the DC color. Two groups of points probe the
+/// shared-projection hazards:
+/// * every 5th point is nearly transparent in the base (below
+///   `alpha_min`) but keeps its full opacity on levels ≥ 1, so a shared
+///   projection that culled on base opacity would lose it there;
+/// * every 3rd point's level DC equals its base DC bit for bit.
 fn foveated_model(model: &GaussianModel) -> FoveatedModel {
     let regions = QualityRegions::paper_default();
     let levels = regions.level_count();
     let n = model.len();
+    let alpha_min = RenderOptions::default().alpha_min;
     let params = (1..levels)
         .map(|l| LevelParams {
             opacity: model
@@ -857,13 +864,42 @@ fn foveated_model(model: &GaussianModel) -> FoveatedModel {
             dc: (0..n)
                 .map(|i| {
                     let sh = model.sh(i);
-                    [sh[0] + 0.1 * l as f32, sh[1], sh[2] - 0.1 * l as f32]
+                    if i % 3 == 0 {
+                        [sh[0], sh[1], sh[2]]
+                    } else {
+                        [sh[0] + 0.1 * l as f32, sh[1], sh[2] - 0.1 * l as f32]
+                    }
                 })
                 .collect(),
         })
         .collect();
+    let mut base = model.clone();
+    for o in base.opacities.iter_mut().step_by(5) {
+        *o = alpha_min * 0.5;
+    }
     let bounds = (0..n).map(|i| (i % levels) as u8).collect();
-    FoveatedModel::new(model.clone(), bounds, params, regions)
+    FoveatedModel::new(base, bounds, params, regions)
+}
+
+/// The reference model of level `l` under LOD stride `lod`: the level's
+/// points whose *base* index is a multiple of `lod`, with opacity scaled by
+/// `lod` (clamped to 1), on levels ≥ 1. `lod <= 1` is the level itself.
+fn lod_level_model(fm: &FoveatedModel, l: usize, lod: usize) -> GaussianModel {
+    let level = fm.level_model(l);
+    if l == 0 || lod <= 1 {
+        return level;
+    }
+    let base_index: Vec<usize> = (0..fm.base().len())
+        .filter(|&i| fm.quality_bounds()[i] as usize >= l)
+        .collect();
+    let kept: Vec<usize> = (0..level.len())
+        .filter(|&j| base_index[j] % lod == 0)
+        .collect();
+    let mut coarse = level.subset(&kept);
+    for o in &mut coarse.opacities {
+        *o = (*o * lod as f32).min(1.0);
+    }
+    coarse
 }
 
 #[test]
@@ -887,40 +923,73 @@ fn foveated_render_equals_blend_of_unmasked_level_renders() {
     let ecc = EccentricityMap::new(display, gaze);
     let regions = fm.regions();
     let levels = fm.level_count();
-    for (threads, kernel, merge) in mask_sweep() {
-        let o = mask_sweep_opts(threads, kernel, merge);
-        let fov = FoveatedRenderer::new(o.clone()).render(&fm, &cam, Some(gaze));
-        let renderer = Renderer::new(o);
-        let level_images: Vec<Image> = (0..levels)
-            .map(|l| renderer.render(fm.level_model(l), &cam).image)
-            .collect();
-        let label = format!("threads={threads}, {kernel:?}, merge={merge}");
-        let mut levels_seen = vec![false; levels];
-        let mut blended = 0usize;
-        for y in 0..cam.height {
-            for x in 0..cam.width {
-                let (l, w) = regions.blend_toward_next(ecc.at(x, y));
-                levels_seen[l] = true;
-                let want = if w > 0.0 && l + 1 < levels {
-                    blended += 1;
-                    level_images[l]
-                        .pixel(x, y)
-                        .lerp(level_images[l + 1].pixel(x, y), w)
-                } else {
-                    level_images[l].pixel(x, y)
-                };
-                let got = fov.image.pixel(x, y);
-                assert!(
-                    same_bits(got, want),
-                    "foveated pixel ({x}, {y}) differs ({label}): {got:?} vs {want:?}"
+    // Each level's pixel mask: its own region plus the blend band leading
+    // into it from the previous region.
+    let level_masks: Vec<Vec<bool>> = (0..levels)
+        .map(|l| {
+            (0..cam.width * cam.height)
+                .map(|i| {
+                    let (pl, w) = regions.blend_toward_next(ecc.at(i % cam.width, i / cam.width));
+                    pl == l || (l >= 1 && pl == l - 1 && w > 0.0)
+                })
+                .collect()
+        })
+        .collect();
+    for lod in [0, 4] {
+        let references: Vec<GaussianModel> =
+            (0..levels).map(|l| lod_level_model(&fm, l, lod)).collect();
+        for (threads, kernel, merge) in mask_sweep() {
+            let o = RenderOptions {
+                lod,
+                ..mask_sweep_opts(threads, kernel, merge)
+            };
+            let fov = FoveatedRenderer::new(o.clone()).render(&fm, &cam, Some(gaze));
+            let renderer = Renderer::new(o);
+            let level_images: Vec<Image> = references
+                .iter()
+                .map(|m| renderer.render(m, &cam).image)
+                .collect();
+            let label = format!("lod={lod}, threads={threads}, {kernel:?}, merge={merge}");
+            for (l, (m, mask)) in references.iter().zip(&level_masks).enumerate() {
+                let want = masked(&renderer, m, &cam, mask).stats;
+                let got = &fov.per_level_stats[l];
+                assert_eq!(
+                    got.tile_intersections, want.tile_intersections,
+                    "level {l} ({label})"
+                );
+                assert_eq!(got.blend_steps, want.blend_steps, "level {l} ({label})");
+                assert_eq!(
+                    got.points_projected, want.points_projected,
+                    "level {l} ({label})"
                 );
             }
+            let mut levels_seen = vec![false; levels];
+            let mut blended = 0usize;
+            for y in 0..cam.height {
+                for x in 0..cam.width {
+                    let (l, w) = regions.blend_toward_next(ecc.at(x, y));
+                    levels_seen[l] = true;
+                    let want = if w > 0.0 && l + 1 < levels {
+                        blended += 1;
+                        level_images[l]
+                            .pixel(x, y)
+                            .lerp(level_images[l + 1].pixel(x, y), w)
+                    } else {
+                        level_images[l].pixel(x, y)
+                    };
+                    let got = fov.image.pixel(x, y);
+                    assert!(
+                        same_bits(got, want),
+                        "foveated pixel ({x}, {y}) differs ({label}): {got:?} vs {want:?}"
+                    );
+                }
+            }
+            assert!(
+                levels_seen.iter().all(|&seen| seen),
+                "every level must own pixels ({label})"
+            );
+            assert!(blended > 0, "blend bands must be on screen ({label})");
+            assert_eq!(fov.blended_pixels, blended, "{label}");
         }
-        assert!(
-            levels_seen.iter().all(|&seen| seen),
-            "every level must own pixels ({label})"
-        );
-        assert!(blended > 0, "blend bands must be on screen ({label})");
-        assert_eq!(fov.blended_pixels, blended, "{label}");
     }
 }
