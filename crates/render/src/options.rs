@@ -4,9 +4,9 @@
 //! frame renders (the scene and an optional pixel mask) travels separately
 //! in a [`FrameRequest`](crate::FrameRequest). The one raster hot-path knob
 //! is the compositing kernel ([`RasterKernel`]): scalar and SIMD frames are
-//! bit-identical, and the SIMD kernel has a single staging path (per-tile
-//! prepass + row-interval schedule, see `raster.rs`), so the knob moves
-//! wall time, never pixels.
+//! bit-identical, and the SIMD kernel has a single staging path (batched
+//! per-tile prepass + row-interval schedule with a tile early exit, see
+//! `raster.rs`), so the knob moves wall time, never pixels.
 
 use ms_math::Vec3;
 use serde::{Deserialize, Serialize};
@@ -32,14 +32,21 @@ pub enum SortMode {
 /// of a tile row into lanes but executes the same `f32` op sequence per
 /// pixel as the scalar kernel (see the `ms_render::pipeline` module docs
 /// for the contract, and the kernel-equivalence property test for the
-/// enforcement). Selection is therefore purely a throughput knob; tests and
-/// CI pin one path explicitly to keep both covered.
+/// enforcement). Selection is therefore purely a throughput knob. Since the
+/// SIMD kernel's tile staging stops once every pixel group of a tile has
+/// saturated, [`Simd4`](RasterKernel::Simd4) is the faster kernel on both
+/// the dense small-splat regime and the moderate one, so [`Auto`] resolves
+/// to it; `MS_RASTER_KERNEL` remains only as the CI pin that runs the
+/// suites once per kernel to keep both covered.
+///
+/// [`Auto`]: RasterKernel::Auto
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum RasterKernel {
     /// Resolve from the `MS_RASTER_KERNEL` environment variable
-    /// (`scalar`/`simd4`, case-insensitive), falling back to [`Simd4`]
-    /// when unset. This is the CI seam: the determinism suite runs once
-    /// per pinned kernel without recompiling.
+    /// (`scalar`/`simd4`, case-insensitive), falling back to [`Simd4`] —
+    /// the faster kernel on every corpus scenario — when unset. The env
+    /// var is only the CI seam: the determinism suite runs once per pinned
+    /// kernel without recompiling.
     ///
     /// [`Simd4`]: RasterKernel::Simd4
     #[default]

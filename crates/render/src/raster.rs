@@ -39,18 +39,36 @@
 //!
 //! # Tile staging
 //!
-//! The SIMD kernel is fed by one staging path, [`TileStage`]: one CSR
-//! walk per tile culls each splat once against its admission box, stages
-//! its row-invariant terms into SoA buffers, and derives its inclusive row
-//! interval with exact binary searches on the admission box's row
-//! predicates. A counting sort over the intervals schedules the staged
-//! splats by row — depth order preserved within each row — and each
-//! 4-pixel group lazily reads only its row's interval-active splats
-//! ([`TileStage::row_iter`]). O(csr_len + Σ active-rows) per tile. The SoA
-//! buffers live in [`RasterScratch`], recycled across tiles, work units
-//! and (through [`FrameArena`](crate::FrameArena)) frames; the
-//! [`RasterWork`](crate::RasterWork) counters in the frame profile record
-//! how much row-iteration work the interval schedule avoided.
+//! The SIMD kernel is fed by one staging path, [`TileStage`], run over a
+//! tile's depth-sorted CSR list in **depth-ordered batches** — consecutive
+//! slices of the list, the first [`FIRST_STAGE_BATCH`] entries long and
+//! doubling after each batch. Staging a batch culls each splat once
+//! against its admission box, stages its row-invariant terms into SoA
+//! buffers, and derives its inclusive row interval with exact binary
+//! searches on the admission box's row predicates; a counting sort over
+//! the intervals schedules the batch's staged splats by row, depth order
+//! preserved within each row. Every still-live 4-pixel group then
+//! composites over its row's slice of that batch ([`TileStage::row_iter`])
+//! and carries its lane state ([`GroupLanes`]) into the next batch.
+//! Staging stops as soon as no group of the tile is live — on dense
+//! small-splat scenes every pixel saturates (`t < t_min`) within the first
+//! few percent of its list, so the rest of the list is never staged — and
+//! a tile with no whole unmasked group stages nothing at all. Cost per
+//! tile is O(staged prefix + Σ active-rows of the staged splats), with the
+//! staged prefix at most about twice the depth the deepest live group
+//! needed (or the whole list when some group never saturates).
+//!
+//! Batching cannot change a pixel, a winner or a blend step: batches are
+//! consecutive slices of the depth-sorted list, so each row's scheduled
+//! sequence, concatenated over batches, is exactly the sequence a single
+//! whole-list staging would have scheduled; the cull and row-interval
+//! argument ([`TileStage`]) holds per splat and so per batch; and a retired
+//! group consumes nothing further, exactly as the unbatched loop's `break`
+//! did. The SoA and lane-state buffers live in [`RasterScratch`], recycled
+//! across tiles, work units and (through [`FrameArena`](crate::FrameArena))
+//! frames; the [`RasterWork`](crate::RasterWork) counters in the frame
+//! profile record how much staging the early exit avoided and how much
+//! row-iteration work the interval schedule avoided.
 
 use crate::binning::{SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, FrameRequest, SceneRef};
@@ -470,16 +488,19 @@ fn check_request(camera: &Camera, mask: Option<&[bool]>) {
     }
 }
 
-/// Recyclable per-worker scratch for one raster work unit: the per-tile
-/// staging buffers (`TileStage`) and the per-pixel sort-mode gather
-/// buffer. One instance serves one raster worker at a time; the Raster
-/// stage keeps a pool of `threads` instances, recycled across work units
-/// and — through [`FrameArena`](crate::FrameArena) — across frames, so the
-/// steady-state raster hot path allocates nothing.
+/// Recyclable per-worker scratch for one raster work unit: the per-batch
+/// staging buffers (`TileStage`), the per-tile 4-pixel group lane states
+/// the SIMD kernel carries across staging batches, and the per-pixel
+/// sort-mode gather buffer. One instance serves one raster worker at a
+/// time; the Raster stage keeps a pool of `threads` instances, recycled
+/// across work units and — through [`FrameArena`](crate::FrameArena) —
+/// across frames, so the steady-state raster hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct RasterScratch {
-    /// Per-tile SoA staging buffers of the SIMD kernel.
+    /// Per-batch SoA staging buffers of the SIMD kernel.
     stage: TileStage,
+    /// Lane states of the current tile's whole 4-pixel groups.
+    groups: Vec<GroupLanes>,
     /// Per-pixel sort-mode contribution gather buffer.
     contribs: Vec<(f32, f32, ms_math::Vec3, u32)>,
 }
@@ -489,9 +510,16 @@ impl RasterScratch {
     /// recycled scratch never leaks splat data between frames or sessions.
     pub(crate) fn clear(&mut self) {
         self.stage.clear();
+        self.groups.clear();
         self.contribs.clear();
     }
 }
+
+/// Length of a tile's first staging batch; each later batch doubles the
+/// previous one (see the module docs' "Tile staging"). Long enough that a
+/// tile whose pixels all saturate early stages one batch, short enough
+/// that such a tile stages a small prefix of a long list.
+const FIRST_STAGE_BATCH: usize = 64;
 
 /// Rasterize one work unit (a rectangle of tiles, clipped to the image).
 ///
@@ -535,7 +563,11 @@ pub(crate) fn rasterize_unit(
     let mut work = RasterWork::default();
     let simd =
         options.sort_mode == SortMode::PerTile && options.resolved_kernel() == RasterKernel::Simd4;
-    let RasterScratch { stage, contribs } = scratch;
+    let RasterScratch {
+        stage,
+        groups,
+        contribs,
+    } = scratch;
 
     for ty in unit.ty0..unit.ty1 {
         for tx in unit.tx0..unit.tx1 {
@@ -547,27 +579,14 @@ pub(crate) fn rasterize_unit(
             let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
             let ty_start = ty * ts;
             let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
-            if simd {
-                // The tile's first/last pixel-center columns are the
-                // row-invariant operands of the staging column cull.
-                let row_x_lo = tx_start as f32 + 0.5;
-                let row_x_hi = (tx_end - 1) as f32 + 0.5;
-                let culled =
-                    stage.stage_tile(options, splats, list, ty_start, ty_end, row_x_lo, row_x_hi);
-                work.splats_staged += list.len() as u64 - culled;
-                work.splats_culled += culled;
-                // One row iteration per scheduled (row, splat) pair, against
-                // the `rows × csr_len` walk of re-staging every row.
-                work.row_iterations += stage.schedule_len() as u64;
-                work.row_iteration_bound += (ty_end - ty_start) as u64 * list.len() as u64;
-            }
             for y in ty_start..ty_end {
                 let mut x = tx_start;
                 while x < tx_end {
                     // Full 4-pixel groups with no masked-out gap take the
-                    // SIMD kernel; remainders and gapped groups run the
-                    // scalar kernel pixel by pixel (bit-identical, so the
-                    // grouping never shows in the output).
+                    // SIMD kernel once the tile's groups are collected;
+                    // remainders and gapped groups run the scalar kernel
+                    // pixel by pixel now (bit-identical, so the grouping
+                    // never shows in the output).
                     let group = (tx_end - x).min(4);
                     let whole = group == 4
                         && mask.map_or(true, |m| {
@@ -575,28 +594,7 @@ pub(crate) fn rasterize_unit(
                             m[base] && m[base + 1] && m[base + 2] && m[base + 3]
                         });
                     if simd && whole {
-                        let px_x = F32x4::new(
-                            x as f32 + 0.5,
-                            (x + 1) as f32 + 0.5,
-                            (x + 2) as f32 + 0.5,
-                            (x + 3) as f32 + 0.5,
-                        );
-                        let (colors, group_winners, steps) = composite_row4(
-                            options,
-                            stage.row_iter(
-                                y - ty_start,
-                                y as f32 + 0.5,
-                                px_x.lane(0),
-                                px_x.lane(3),
-                            ),
-                            px_x,
-                        );
-                        let out_idx = ((y - y_start) * unit_w + (x - x_start)) as usize;
-                        pixels[out_idx..out_idx + 4].copy_from_slice(&colors);
-                        if track {
-                            winners[out_idx..out_idx + 4].copy_from_slice(&group_winners);
-                        }
-                        blend_steps += steps;
+                        groups.push(GroupLanes::new(x, y));
                         x += 4;
                         continue;
                     }
@@ -622,6 +620,56 @@ pub(crate) fn rasterize_unit(
                     }
                     x += group;
                 }
+            }
+            if !simd {
+                continue;
+            }
+            // Stage the list in depth-ordered batches until no group is
+            // live (see the module docs' "Tile staging"). The tile's
+            // first/last pixel-center columns are the row-invariant
+            // operands of the staging column cull.
+            let row_x_lo = tx_start as f32 + 0.5;
+            let row_x_hi = (tx_end - 1) as f32 + 0.5;
+            let mut live = groups.len();
+            let mut start = 0;
+            let mut batch = FIRST_STAGE_BATCH;
+            while live > 0 && start < list.len() {
+                let end = list.len().min(start + batch);
+                let culled = stage.stage_batch(
+                    options,
+                    splats,
+                    &list[start..end],
+                    ty_start,
+                    ty_end,
+                    row_x_lo,
+                    row_x_hi,
+                );
+                work.splats_staged += (end - start) as u64 - culled;
+                work.splats_culled += culled;
+                work.row_iterations += stage.schedule_len() as u64;
+                live = 0;
+                for g in groups.iter_mut().filter(|g| g.active.any()) {
+                    let (gx_lo, gx_hi) = (g.px_x.lane(0), g.px_x.lane(3));
+                    let row = stage.row_iter(g.y - ty_start, g.y as f32 + 0.5, gx_lo, gx_hi);
+                    composite_row4(options, row, g);
+                    live += usize::from(g.active.any());
+                }
+                start = end;
+                batch *= 2;
+            }
+            work.splats_unstaged += (list.len() - start) as u64;
+            // The `rows × csr_len` walk of re-staging the *whole* list
+            // every row — the bound the schedule is measured against,
+            // independent of how much of the list the early exit staged.
+            work.row_iteration_bound += (ty_end - ty_start) as u64 * list.len() as u64;
+            for g in groups.drain(..) {
+                let (colors, group_winners, steps) = g.finish(options.background);
+                let out_idx = ((g.y - y_start) * unit_w + (g.x - x_start)) as usize;
+                pixels[out_idx..out_idx + 4].copy_from_slice(&colors);
+                if track {
+                    winners[out_idx..out_idx + 4].copy_from_slice(&group_winners);
+                }
+                blend_steps += steps;
             }
         }
     }
@@ -692,7 +740,7 @@ const CULL_BOX_RELATIVE_SLACK: f32 = 1.001;
 const CULL_BOX_ABSOLUTE_SLACK: f32 = 1.0;
 
 /// One splat's admission-culling data, computed by [`splat_cull`] when
-/// [`TileStage::stage_tile`] stages the splat and consumed by the staging
+/// [`TileStage::stage_batch`] stages the splat and consumed by the staging
 /// cull and [`composite_row4`].
 #[derive(Debug, Clone, Copy)]
 struct SplatCull {
@@ -826,20 +874,28 @@ struct RowSplat {
     point_index: u32,
 }
 
-/// Per-tile staging prepass + row-interval scheduler — the SIMD kernel's
-/// staging path.
+/// Staging prepass + row-interval scheduler for one depth-ordered batch of
+/// a tile's CSR list — the SIMD kernel's staging path.
 ///
-/// [`TileStage::stage_tile`] walks the tile's depth-sorted CSR list
-/// *once*: it computes each splat's admission cull ([`splat_cull`]), drops
-/// splats whose box misses the tile's columns or every tile row, and
-/// writes each survivor's splat-invariant terms into SoA buffers **in CSR
-/// depth order**, together with the inclusive row interval its admission
-/// box covers. A counting sort over those intervals then builds a per-row
-/// schedule (`row_splats[row_offsets[r]..row_offsets[r + 1]]` = the
-/// depth-ordered staged indices active on row `r`), so
-/// [`TileStage::row_iter`] touches only the splats whose interval covers
-/// the row — O(csr_len + Σ intervals) per tile instead of an
-/// O(rows × csr_len) re-walk of the list per row.
+/// [`TileStage::stage_batch`] walks the batch *once*: it computes each
+/// splat's admission cull ([`splat_cull`]), drops splats whose box misses
+/// the tile's columns or every tile row, and writes each survivor's
+/// splat-invariant terms into SoA buffers **in CSR depth order**, together
+/// with the inclusive row interval its admission box covers. A counting
+/// sort over those intervals then builds a per-row schedule
+/// (`row_splats[row_offsets[r]..row_offsets[r + 1]]` = the depth-ordered
+/// staged indices active on row `r`), so [`TileStage::row_iter`] touches
+/// only the splats whose interval covers the row — O(batch + Σ intervals)
+/// per batch instead of an O(rows × batch) re-walk of the batch per row.
+/// [`rasterize_unit`] stages a tile's batches in list order and stops once
+/// every group has retired, so a tile costs O(staged prefix + Σ intervals
+/// of the staged splats).
+///
+/// Batching keeps the schedule's order: the batches are consecutive slices
+/// of the depth-sorted list, so row `r`'s slices over successive batches
+/// concatenate to exactly the depth-ordered sequence one whole-list
+/// staging would schedule for `r`, and every fact below is a per-splat
+/// fact that holds batch by batch.
 ///
 /// # Bit-identity with the scalar admission predicate
 ///
@@ -918,14 +974,15 @@ fn row_partition(lo: u32, hi: u32, pred: impl Fn(u32) -> bool) -> u32 {
 }
 
 impl TileStage {
-    /// Stage one tile: cull, write survivors' splat-invariant terms in
+    /// Stage one depth-ordered batch of a tile's CSR list, replacing the
+    /// previous batch: cull, write survivors' splat-invariant terms in
     /// depth order, and build the row-interval schedule. Rows are the
     /// pixel rows `ty_start..ty_end`; `row_x_lo`/`row_x_hi` are the tile's
     /// first/last pixel-center columns (the row-invariant operands of the
-    /// column cull). Returns how many of the tile's `list` splats were
+    /// column cull). Returns how many of the batch's `list` splats were
     /// culled (dropped entirely — provably admitted nowhere in the tile).
     #[allow(clippy::too_many_arguments)]
-    fn stage_tile(
+    fn stage_batch(
         &mut self,
         o: &RenderOptions,
         splats: &[ProjectedSplat],
@@ -1042,8 +1099,8 @@ impl TileStage {
         })
     }
 
-    /// Total scheduled (row, splat) pairs for the staged tile —
-    /// Σ interval lengths, the per-tile path's actual row-iteration count.
+    /// Total scheduled (row, splat) pairs for the staged batch —
+    /// Σ interval lengths, the batch's actual row-iteration count.
     fn schedule_len(&self) -> usize {
         self.row_splats.len()
     }
@@ -1069,43 +1126,111 @@ impl TileStage {
     }
 }
 
+/// Lane state of one whole 4-pixel group of a tile row — the four pixels'
+/// running color, transmittance, best weight/winner, step counts and
+/// activity mask — carried by [`composite_row4`] across a tile's staging
+/// batches, so compositing a row's sequence batch by batch is the same
+/// computation as compositing it in one call.
+#[derive(Debug, Clone, Copy)]
+struct GroupLanes {
+    /// First pixel column of the group.
+    x: u32,
+    /// Pixel row of the group.
+    y: u32,
+    /// Pixel-center columns of the four lanes.
+    px_x: F32x4,
+    /// Accumulated red.
+    cr: F32x4,
+    /// Accumulated green.
+    cg: F32x4,
+    /// Accumulated blue.
+    cb: F32x4,
+    /// Transmittance.
+    t: F32x4,
+    /// Largest blend weight so far (winner tracking).
+    best_w: F32x4,
+    /// Point index of the largest blend weight (`u32::MAX` = none).
+    best: U32x4,
+    /// Blend steps per lane. `u32` lanes cannot wrap: a lane admits each
+    /// list entry at most once and tile lists are indexed by `u32`.
+    steps: U32x4,
+    /// Lanes that have not yet crossed `t_min`.
+    active: Mask4,
+}
+
+impl GroupLanes {
+    /// Fresh lanes for the group whose first pixel is `(x, y)`: the state
+    /// [`composite_pixel`] starts each pixel from.
+    fn new(x: u32, y: u32) -> Self {
+        Self {
+            x,
+            y,
+            px_x: F32x4::new(
+                x as f32 + 0.5,
+                (x + 1) as f32 + 0.5,
+                (x + 2) as f32 + 0.5,
+                (x + 3) as f32 + 0.5,
+            ),
+            cr: F32x4::splat(0.0),
+            cg: F32x4::splat(0.0),
+            cb: F32x4::splat(0.0),
+            t: F32x4::splat(1.0),
+            best_w: F32x4::splat(0.0),
+            best: U32x4::splat(u32::MAX),
+            steps: U32x4::splat(0),
+            active: Mask4::all_on(),
+        }
+    }
+
+    /// Composite the background behind the lanes and return the four
+    /// colors, the four winning point indices, and the total blend steps
+    /// across the lanes.
+    fn finish(&self, bg: ms_math::Vec3) -> ([ms_math::Vec3; 4], [u32; 4], u64) {
+        let cr = self.cr + F32x4::splat(bg.x) * self.t;
+        let cg = self.cg + F32x4::splat(bg.y) * self.t;
+        let cb = self.cb + F32x4::splat(bg.z) * self.t;
+        let colors =
+            std::array::from_fn(|l| ms_math::Vec3::new(cr.lane(l), cg.lane(l), cb.lane(l)));
+        (colors, self.best.to_array(), self.steps.wide_sum())
+    }
+}
+
 /// Composite four horizontally-adjacent pixels of one tile row
-/// front-to-back over the row's staged splat sequence — the 4-lane
-/// counterpart of [`composite_pixel`], bit-identical to running it on each
-/// pixel.
+/// front-to-back over one batch of the row's staged splat sequence,
+/// resuming from and updating `lanes` — the 4-lane counterpart of
+/// [`composite_pixel`]. Calling it over consecutive batches of a row's
+/// sequence and then [`GroupLanes::finish`] is bit-identical to running
+/// [`composite_pixel`] on each pixel over the whole sequence: the state
+/// between calls is exactly the scalar loop's state between two splats.
 ///
-/// `row` is the row's depth-ordered [`RowSplat`] sequence —
-/// [`TileStage::row_iter`]'s lazy view of the per-tile schedule.
+/// `row` is the row's depth-ordered [`RowSplat`] sequence within the
+/// current batch — [`TileStage::row_iter`]'s lazy view of the batch's
+/// schedule.
 ///
-/// Lane `i` is the pixel centered at `(px_x.lane(i), py)` for the row
-/// `row` was staged for. Per splat, the conic is evaluated for all four
-/// lanes (same association order as
+/// Lane `i` is the pixel centered at `(lanes.px_x.lane(i), py)` for the
+/// row `row` was staged for. Per splat, the conic is evaluated for all
+/// four lanes (same association order as
 /// `Conic2::mahalanobis_sq`/`gaussian_weight`, with the lane-invariant `y`
 /// terms staged once in scalar — identical values, not just close), then
 /// each lane independently runs the scalar admission/blend sequence under
 /// its activity mask. A lane retires exactly when the scalar loop would
 /// have `break`-ed (an *admitted* contribution pushed its transmittance
-/// below `t_min`); the group stops early once all four lanes retire.
-///
-/// Returns the four colors, the four winning point indices, and the total
-/// blend steps across the lanes.
+/// below `t_min`); the group stops early once all four lanes retire, and
+/// [`rasterize_unit`] calls it on no later batch.
 #[inline]
-fn composite_row4(
-    o: &RenderOptions,
-    row: impl Iterator<Item = RowSplat>,
-    px_x: F32x4,
-) -> ([ms_math::Vec3; 4], [u32; 4], u64) {
-    let mut cr = F32x4::splat(0.0);
-    let mut cg = F32x4::splat(0.0);
-    let mut cb = F32x4::splat(0.0);
-    let mut t = F32x4::splat(1.0);
-    let mut best_w = F32x4::splat(0.0);
-    let mut best = U32x4::splat(u32::MAX);
-    // Per-lane step counters stay in `u32` lanes (a lane admits each list
-    // entry at most once and tile lists are indexed by `u32`, so they
-    // cannot wrap) and widen once on return.
-    let mut steps = U32x4::splat(0);
-    let mut active = Mask4::all_on();
+fn composite_row4(o: &RenderOptions, row: impl Iterator<Item = RowSplat>, lanes: &mut GroupLanes) {
+    let GroupLanes {
+        px_x,
+        mut cr,
+        mut cg,
+        mut cb,
+        mut t,
+        mut best_w,
+        mut best,
+        mut steps,
+        mut active,
+        ..
+    } = *lanes;
     let alpha_min = F32x4::splat(o.alpha_min);
     let alpha_max = F32x4::splat(o.alpha_max);
     let t_min = F32x4::splat(o.t_min);
@@ -1174,12 +1299,17 @@ fn composite_row4(
         active = active & !(admit & t.lt(t_min));
     }
 
-    let bg = o.background;
-    cr = cr + F32x4::splat(bg.x) * t;
-    cg = cg + F32x4::splat(bg.y) * t;
-    cb = cb + F32x4::splat(bg.z) * t;
-    let colors = std::array::from_fn(|l| ms_math::Vec3::new(cr.lane(l), cg.lane(l), cb.lane(l)));
-    (colors, best.to_array(), steps.wide_sum())
+    *lanes = GroupLanes {
+        cr,
+        cg,
+        cb,
+        t,
+        best_w,
+        best,
+        steps,
+        active,
+        ..*lanes
+    };
 }
 
 /// Per-pixel sorted compositing (StopThePop-style).

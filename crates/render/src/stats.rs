@@ -78,20 +78,27 @@ impl TileGridDims {
 /// Raster-stage work counters for the staged compositing path, recorded in
 /// [`FrameProfile::raster`](crate::FrameProfile).
 ///
-/// The SIMD raster path stages each tile's depth-sorted CSR list before
-/// compositing; these counters expose how much work the per-tile staging
-/// prepass and its row-interval schedule avoid relative to re-walking the
-/// whole list on every tile row, so the win is observable in recorded
+/// The SIMD raster path stages each tile's depth-sorted CSR list in
+/// depth-ordered batches, compositing every live 4-pixel group after each
+/// batch, and stops staging once no group of the tile is live (every lane
+/// saturated, or the tile has no whole unmasked group). These counters
+/// expose how much of each list that early exit left unstaged and how much
+/// work the row-interval schedule avoids relative to re-walking the whole
+/// list on every tile row, so the win is observable in recorded
 /// benchmarks, not just timed:
 ///
-/// * `splats_staged`/`splats_culled` split each tile's CSR list by the
-///   admission-ellipse bbox cull;
+/// * `splats_staged`/`splats_culled`/`splats_unstaged` partition each
+///   tile's CSR list: the staged batches split into survivors and
+///   admission-ellipse bbox culls, and the entries after the last staged
+///   batch were never looked at. Over a frame the three sum to
+///   [`RenderStats::total_intersections`];
 /// * `row_iterations` counts the (row, splat) pairs the row-interval
 ///   schedule actually iterated (Σ of staged splats' row-interval
-///   lengths);
-/// * `row_iteration_bound` is `tile_rows × csr_len`, the cost of a
-///   per-row re-walk, so `row_iteration_bound / row_iterations` is the
-///   schedule's measured saving factor.
+///   lengths, over the staged batches);
+/// * `row_iteration_bound` is `tile_rows × csr_len` over the *full* list,
+///   the cost of a per-row re-walk of the whole list, so
+///   `row_iteration_bound / row_iterations` is the measured saving factor
+///   of the schedule and the early exit together.
 ///
 /// The scalar kernel performs no staging and leaves every counter 0. For a
 /// fixed configuration the counters are bit-deterministic across thread
@@ -108,11 +115,16 @@ pub struct RasterWork {
     /// Splats dropped by the per-tile admission-ellipse cull (empty row
     /// interval or no column overlap with the tile), summed over tiles.
     pub splats_culled: u64,
+    /// CSR entries a tile never staged because no group of the tile was
+    /// still live when staging reached them (every group had retired, or
+    /// the tile has no whole unmasked group), summed over tiles.
+    #[serde(default)]
+    pub splats_unstaged: u64,
     /// Per-splat row-loop iterations actually executed by the staging
     /// path across all tiles.
     pub row_iterations: u64,
-    /// The `tile_rows × csr_len` iteration count the per-row re-walk
-    /// would have executed for the same tiles.
+    /// The `tile_rows × csr_len` iteration count the per-row re-walk of
+    /// each tile's full list would have executed for the same tiles.
     pub row_iteration_bound: u64,
 }
 
@@ -123,6 +135,7 @@ impl RasterWork {
     pub fn accumulate(&mut self, other: &RasterWork) {
         self.splats_staged += other.splats_staged;
         self.splats_culled += other.splats_culled;
+        self.splats_unstaged += other.splats_unstaged;
         self.row_iterations += other.row_iterations;
         self.row_iteration_bound += other.row_iteration_bound;
     }

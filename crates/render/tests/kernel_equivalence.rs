@@ -12,6 +12,12 @@
 //! sizes (so the last row of edge tiles lands mid-interval), and merged
 //! super-tile rects (each tile inside a super-tile must stage its own
 //! rows against its own CSR list).
+//!
+//! One-tile fixtures pin the batched staging's tile early exit: a front
+//! layer that saturates every pixel after exactly `k` splats for `k` at
+//! and around each batch boundary (and the tile must then leave its list
+//! tail unstaged), a tile where half the groups saturate and half never
+//! do, and a masked tile with no whole group, which must stage nothing.
 
 use ms_math::{Conic2, Quat, TileRect, Vec2, Vec3};
 use ms_render::{
@@ -117,6 +123,217 @@ fn random_splats(
             })
         })
         .collect()
+}
+
+/// Side of the one-tile fixtures: one 16-pixel tile, four 4-pixel groups
+/// per row.
+const TILE: u32 = 16;
+
+fn one_tile_camera() -> Camera {
+    Camera::look_at(TILE, TILE, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero())
+}
+
+/// A splat covering the whole one-tile fixture at depth `depth`.
+fn tile_splat(
+    point_index: usize,
+    center: Vec2,
+    conic: Conic2,
+    depth: f32,
+    opacity: f32,
+    color: Vec3,
+) -> ms_render::ProjectedSplat {
+    ms_render::ProjectedSplat {
+        point_index: point_index as u32,
+        center,
+        conic,
+        depth,
+        radius: 2.0 * TILE as f32,
+        color,
+        opacity,
+        tiles: TileRect::from_circle(center, 2.0 * TILE as f32, TILE, 1, 1)
+            .expect("fixture splat covers the tile"),
+    }
+}
+
+/// Render `splats` on the one-tile fixture with both kernels (scalar,
+/// simd4), restricted to `mask` when one is given.
+fn render_one_tile(
+    splats: &[ms_render::ProjectedSplat],
+    mask: Option<&[bool]>,
+    alpha_min: f32,
+    t_min: f32,
+) -> (RenderOutput, RenderOutput) {
+    let cam = one_tile_camera();
+    let render = |kernel| {
+        Renderer::new(options(kernel, TILE, alpha_min, 0.99, t_min))
+            .render_splats(
+                splats.len(),
+                splats.to_vec(),
+                mask,
+                &cam,
+                FrameArena::default(),
+            )
+            .0
+    };
+    (render(RasterKernel::Scalar), render(RasterKernel::Simd4))
+}
+
+/// `k - 1` faint splats that every pixel admits, then one opaque splat
+/// that pushes every pixel's transmittance below `t_min = 0.02`, then 400
+/// random splats behind them: every pixel of the tile saturates after
+/// exactly `k` splats. Faint transmittance after 192 splats is
+/// `0.995^192 ≈ 0.38`, and the opaque splat multiplies it by `≈ 0.0101`.
+fn saturating_front(k: usize) -> Vec<ms_render::ProjectedSplat> {
+    // σ ≈ 1000 px: the weight is 1 to within 1e-4 across the tile.
+    let flat = Conic2 {
+        a: 1e-6,
+        b: 0.0,
+        c: 1e-6,
+    };
+    let mid = Vec2::new(TILE as f32 / 2.0, TILE as f32 / 2.0);
+    let mut splats: Vec<_> = (0..k)
+        .map(|i| {
+            let opacity = if i + 1 == k { 0.99 } else { 0.005 };
+            let shade = i as f32 / k as f32;
+            tile_splat(
+                i,
+                mid,
+                flat,
+                1.0 + i as f32 * 1e-3,
+                opacity,
+                Vec3::new(shade, 0.5, 1.0 - shade),
+            )
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(k as u64);
+    for i in k..k + 400 {
+        let center = Vec2::new(
+            rng.gen_range(0.0..TILE as f32),
+            rng.gen_range(0.0..TILE as f32),
+        );
+        let inv = 1.0 / rng.gen_range(1.0..40.0f32);
+        let color = Vec3::new(
+            rng.gen_range(0.0..1.0f32),
+            rng.gen_range(0.0..1.0f32),
+            rng.gen_range(0.0..1.0f32),
+        );
+        let conic = Conic2 {
+            a: inv,
+            b: 0.0,
+            c: inv,
+        };
+        splats.push(tile_splat(
+            i,
+            center,
+            conic,
+            10.0 + i as f32 * 1e-3,
+            rng.gen_range(0.3..0.99f32),
+            color,
+        ));
+    }
+    splats
+}
+
+#[test]
+fn tile_saturating_at_batch_boundaries_matches_scalar_and_stops_staging() {
+    // k at and on either side of each boundary of the 64-then-doubling
+    // batch schedule (batches end at list positions 64, 192, 448).
+    for k in [1, 63, 64, 65, 191, 192, 193] {
+        let splats = saturating_front(k);
+        let (scalar, simd) = render_one_tile(&splats, None, 1.0 / 255.0, 0.02);
+        assert_outputs_bit_identical(&simd, &scalar).unwrap_or_else(|e| panic!("k={k}: {e}"));
+        assert_eq!(
+            scalar.stats.blend_steps,
+            (TILE * TILE) as u64 * k as u64,
+            "k={k}: fixture must saturate every pixel after exactly k splats"
+        );
+        let work = simd.stats.profile.raster;
+        assert!(
+            work.splats_unstaged > 0,
+            "k={k}: a saturated tile must stop staging before its list ends"
+        );
+        assert_eq!(
+            work.splats_staged + work.splats_culled + work.splats_unstaged,
+            simd.stats.total_intersections,
+            "k={k}"
+        );
+    }
+}
+
+#[test]
+fn tile_with_half_its_groups_saturating_matches_scalar() {
+    // Tall, 0.35-px-wide column splats centered on pixel columns: at
+    // `alpha_min = 0.05` a column splat is admitted on its own column only
+    // (one column over its weight is e^(-1/(2·0.35²)) ≈ 0.017). Every
+    // column gets 30 faint splats (opacity 0.06; 0.94^30 ≈ 0.16 stays
+    // above `t_min = 0.05`); the left 8 columns also get one opaque splat,
+    // which saturates them. So the left two groups of every row retire and
+    // the right two never do.
+    let column = Conic2 {
+        a: 1.0 / (0.35 * 0.35),
+        b: 0.0,
+        c: 1e-4,
+    };
+    let mut rng = StdRng::seed_from_u64(0x4a1f);
+    let mut splats = Vec::new();
+    for col in 0..TILE {
+        let center = Vec2::new(col as f32 + 0.5, TILE as f32 / 2.0);
+        for _ in 0..30 {
+            let color = Vec3::new(rng.gen_range(0.0..1.0f32), 0.2, rng.gen_range(0.0..1.0f32));
+            let depth = rng.gen_range(1.0..100.0f32);
+            splats.push(tile_splat(splats.len(), center, column, depth, 0.06, color));
+        }
+    }
+    let opaque_first = splats.len();
+    for col in 0..TILE / 2 {
+        let center = Vec2::new(col as f32 + 0.5, TILE as f32 / 2.0);
+        let depth = rng.gen_range(1.0..20.0f32);
+        splats.push(tile_splat(
+            splats.len(),
+            center,
+            column,
+            depth,
+            0.99,
+            Vec3::one(),
+        ));
+    }
+    let (scalar, simd) = render_one_tile(&splats, None, 0.05, 0.05);
+    assert_outputs_bit_identical(&simd, &scalar).unwrap();
+    // Each left pixel's winner is its column's opaque splat (weight
+    // ≥ 0.99 · 0.16, above any faint weight), which saturates the pixel.
+    for y in 0..TILE {
+        for x in 0..TILE / 2 {
+            assert_eq!(
+                scalar.winners[(y * TILE + x) as usize],
+                (opaque_first + x as usize) as u32,
+                "pixel ({x}, {y}) must be won by its column's opaque splat"
+            );
+        }
+    }
+    // The never-saturating right groups keep the tile live to the end.
+    let work = simd.stats.profile.raster;
+    assert_eq!(work.splats_unstaged, 0);
+    assert_eq!(
+        work.splats_staged + work.splats_culled,
+        simd.stats.total_intersections
+    );
+}
+
+#[test]
+fn masked_tile_with_only_gapped_groups_stages_nothing() {
+    // Every 4-pixel group has its second pixel masked out, so no group is
+    // whole: all active pixels take the scalar fallback and the tile must
+    // stage none of its list.
+    let splats = saturating_front(65);
+    let mask: Vec<bool> = (0..TILE * TILE).map(|i| i % 4 != 1).collect();
+    let (scalar, simd) = render_one_tile(&splats, Some(&mask), 1.0 / 255.0, 0.02);
+    assert_outputs_bit_identical(&simd, &scalar).unwrap();
+    let work = simd.stats.profile.raster;
+    assert!(simd.stats.total_intersections > 0);
+    assert_eq!(work.splats_staged, 0);
+    assert_eq!(work.splats_culled, 0);
+    assert_eq!(work.row_iterations, 0);
+    assert_eq!(work.splats_unstaged, simd.stats.total_intersections);
 }
 
 proptest! {

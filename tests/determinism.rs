@@ -12,13 +12,13 @@
 //! configuration must itself be bit-identical across all thread counts.
 //!
 //! Kernel selection (`RenderOptions::raster_kernel`) adds the third axis:
-//! the 4-lane SIMD compositing kernel, fed by its per-tile staging prepass
-//! and row-interval schedule, must produce the same frame, bit for bit,
-//! as the scalar reference kernel — on plain, masked and prefiltered
-//! frames, at every worker count, merged or not — and its `RasterWork`
-//! counters must be deterministic for a fixed configuration (they are
-//! per-tile quantities, so neither the thread count nor the work-unit
-//! schedule may change them).
+//! the 4-lane SIMD compositing kernel, fed by its batched per-tile staging
+//! prepass, row-interval schedule and tile early exit, must produce the
+//! same frame, bit for bit, as the scalar reference kernel — on plain,
+//! masked and prefiltered frames, at every worker count, merged or not —
+//! and its `RasterWork` counters must be deterministic for a fixed
+//! configuration (they are per-tile quantities, so neither the thread
+//! count nor the work-unit schedule may change them).
 //!
 //! Scene chunking and the chunk cache add the fourth axis (see their
 //! sections below). Pixel masks are checked against the unmasked frame
@@ -440,6 +440,17 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
     let reference = Renderer::new(kernel_opts(1, RasterKernel::Simd4)).render(&s.model, &cam);
     let work = reference.stats.profile.raster;
     assert!(work.splats_staged > 0, "dense trace must stage splats");
+    // Staged, culled and never-staged entries partition every tile's CSR
+    // list; the tile early exit must actually leave list tails unstaged.
+    assert_eq!(
+        work.splats_staged + work.splats_culled + work.splats_unstaged,
+        reference.stats.total_intersections,
+        "staged + culled + unstaged must cover every CSR entry"
+    );
+    assert!(
+        work.splats_unstaged > 0,
+        "saturated tiles must stop staging before the end of their lists"
+    );
     assert!(
         work.row_iterations > 0 && work.row_iterations < work.row_iteration_bound,
         "row-interval schedule must beat the rows × csr_len bound \
@@ -462,6 +473,16 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
     assert_eq!(
         merged.stats.profile.raster, work,
         "RasterWork differs under tile merging"
+    );
+    // Masked frames partition their (mask-restricted) CSR lists the same
+    // way; tiles whose active pixels sit only in gapped groups stage none.
+    let renderer = Renderer::new(kernel_opts(1, RasterKernel::Simd4));
+    let masked_frame = masked(&renderer, &s.model, &cam, &structured_mask(&cam));
+    let masked_work = masked_frame.stats.profile.raster;
+    assert_eq!(
+        masked_work.splats_staged + masked_work.splats_culled + masked_work.splats_unstaged,
+        masked_frame.stats.total_intersections,
+        "masked: staged + culled + unstaged must cover every CSR entry"
     );
 
     // Scalar kernel: no staging runs at all — counters stay zero.
